@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import CertificateError
 from .paraproducts import HighSidePara, LowSidePara
-from .torus import Grid, embed_coeffs, fold_lattice, split_lattice
+from .torus import Grid, constant_value, embed_coeffs, fold_lattice, split_lattice
 
 Array = np.ndarray
 
@@ -38,11 +38,6 @@ class LinOp:
 
 def identity_op() -> LinOp:
     return LinOp(lambda x: x, lambda x: x)
-
-
-def zero_op(g: Grid) -> LinOp:
-    z = lambda x: np.zeros(g.shape, np.complex128)
-    return LinOp(z, z)
 
 
 def multiplier_op(sym: Array) -> LinOp:
@@ -97,7 +92,11 @@ def mult_field_op(g: Grid, coeffs: Array) -> LinOp:
 
     Forward: fold(ifft(phi . fft(split(x)))); the physical factor phi is
     cached on the doubled grid.  Self-adjoint up to the Nyquist-edge
-    weight bookkeeping, which the adjoint handles exactly."""
+    weight bookkeeping, which the adjoint handles exactly.  A constant
+    field multiplies by its value, exactly and without transforms."""
+    c = constant_value(coeffs)
+    if c is not None:
+        return LinOp(lambda x: c * x, lambda x: c * x)
     m = 2 * g.n
     phi = np.fft.fftn(embed_coeffs(coeffs, g.n, m)).real
 

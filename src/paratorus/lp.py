@@ -143,10 +143,6 @@ def block(f: SpectralField, P: DyadicPartition, j: int) -> SpectralField:
     return field_from_coeffs(f.grid, P.block_symbol(j) * f.coeffs)
 
 
-def partial_sum(f: SpectralField, P: DyadicPartition, j: int) -> SpectralField:
-    return field_from_coeffs(f.grid, P.partial_symbol(j) * f.coeffs)
-
-
 def decompose(f: SpectralField, P: DyadicPartition):
     """All blocks Delta_j f (j = -1..j_max) and sums S_j f (j = -1..j_max+1).
 
@@ -211,8 +207,8 @@ def random_annulus_field(
 
 @dataclass
 class CheckReport:
-    """One measured-ratio experiment; serialized per the shared CSV schema
-    (check_name, parameters..., ratio_max, ratio_min, n, seed)."""
+    """One measured-ratio experiment: the check's name and parameters, the
+    largest and smallest measured ratio, the grid size n and the seed."""
 
     name: str
     params: dict
@@ -221,18 +217,6 @@ class CheckReport:
     n: int
     seed: int
     per_scale: list = field(default_factory=list)  # (scale, max, min) triples
-
-    def csv_row(self) -> list[str]:
-        ptxt = ";".join(f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}"
-                        for k, v in self.params.items())
-        return [
-            self.name,
-            ptxt,
-            f"{self.ratio_max:.17g}",
-            f"{self.ratio_min:.17g}",
-            str(self.n),
-            str(self.seed),
-        ]
 
     def slope_vs_scale(self) -> float:
         """Least-squares slope of log(ratio_max) against log(scale)."""

@@ -225,11 +225,6 @@ class NoiseSpec:
             if 0.5 - dp - dpp <= 0:
                 raise ConfigurationError("generic_II needs delta' + delta'' < 1/2")
 
-    def r_for_dimension(self, d: int) -> float:
-        if self.kind == "generic_II":
-            return d / (0.5 - self.delta_prime - self.delta_dprime)
-        return self.r
-
 
 def enhance_anderson2d(g: Grid, eps: float, seed: int,
                        tol_kpz: float = 1e-9) -> EnhancedData:

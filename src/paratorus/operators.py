@@ -64,12 +64,11 @@ from .transforms import (
 class AOperator:
     """Matrix-free (1-Delta) + grad V . grad + (xi + c) + div(rho .)."""
 
-    def __init__(self, data: EnhancedData, include_constant: bool = True):
+    def __init__(self, data: EnhancedData):
         g = data.grid
         self.data = data
         parts = [multiplier_op(g.sobolev_symbol(2.0))]
-        c = data.c_eps if include_constant else 0.0
-        potential = data.xi + constant_field(g, c)
+        potential = data.xi + constant_field(g, data.c_eps)
         if np.any(potential.coeffs != 0.0):
             parts.append(mult_field_op(g, potential.coeffs))
         if l2_norm(data.V) > 0.0:
@@ -158,7 +157,7 @@ def equivalence_constants(stack: TransformStack, trials: int = 50,
     over random H^2 probes; equal to one identically for zero data."""
     g = stack.grid
     a_op = AOperator(stack.data)
-    theta = stack.op("theta")
+    theta = stack.theta
     rng = np.random.default_rng(seed)
     kmax = 2.0**stack.partition.j_max
     ratios = []
@@ -180,7 +179,7 @@ def factorization_remainder(stack: TransformStack, trials: int = 20,
     H^2 -> H^{delta'}, plus the norm-equivalence constants."""
     g = stack.grid
     a_op = AOperator(stack.data)
-    theta = stack.op("theta")
+    theta = stack.theta
     lap1 = multiplier_op(g.sobolev_symbol(2.0))
     lower = subtract(compose(a_op.op, theta), lap1)
     kmax = 2.0**stack.partition.j_max
@@ -193,10 +192,10 @@ def factorization_remainder(stack: TransformStack, trials: int = 20,
 
     rng = np.random.default_rng(seed + 3)
     probe = _h2_model_field(g, rng, kmax)
-    lam_w = stack.op("lambda").apply(probe.coeffs)
-    ups_w = g.sobolev_symbol(2.0) * stack.op("upsilon").apply(probe.coeffs)
+    lam_w = stack.lambda_.apply(probe.coeffs)
+    ups_w = g.sobolev_symbol(2.0) * stack.upsilon.apply(probe.coeffs)
     res_fact = float(np.sqrt(np.vdot(lam_w - ups_w, lam_w - ups_w).real))
-    round_ = theta.apply(stack.op("theta_inv").apply(probe.coeffs))
+    round_ = theta.apply(stack.theta_inv.apply(probe.coeffs))
     res_round = float(np.sqrt(np.vdot(round_ - probe.coeffs,
                                       round_ - probe.coeffs).real))
     return FactorizationReport(
@@ -300,13 +299,13 @@ class ResolventOperator:
     the constant-coefficient preconditioner (lam0 + 1 - Delta)^{-1}."""
 
     def __init__(self, data: EnhancedData, lam0: float, tol: float = 1e-10,
-                 max_iter: int = 400, include_constant: bool = True):
+                 max_iter: int = 400):
         g = data.grid
         self.g = g
         self.lam0 = lam0
         self.tol = tol
         self.max_iter = max_iter
-        a = AOperator(data, include_constant=include_constant)
+        a = AOperator(data)
         self.a_op = a
         shift = multiplier_op(np.full(g.shape, lam0, dtype=float))
         self.s_op = add(shift, a.op)
@@ -363,15 +362,15 @@ def _orthonormalize(vectors):
 
 
 def spectrum(data: EnhancedData, lam0: float, k_eigs: int, seed: int = 0,
-             tol: float = 1e-6, max_sweeps: int = 500, buffer: int = 4,
-             include_constant: bool = True) -> np.ndarray:
+             tol: float = 1e-6, max_sweeps: int = 500,
+             buffer: int = 4) -> np.ndarray:
     """Lowest k eigenvalues by subspace iteration on (lam0 + A)^{-1}.
 
     The symmetric case (rho = 0, V = 0) uses Rayleigh-Ritz on A; otherwise
     Ritz values of the symmetrized resolvent are returned with a warning.
     """
     g = data.grid
-    rop = ResolventOperator(data, lam0, include_constant=include_constant)
+    rop = ResolventOperator(data, lam0)
     symmetric = rop.symmetric
     if not symmetric:
         warnings.warn(
@@ -439,7 +438,6 @@ class StudyConfig:
     kind: str = "anderson2d"
     k_eigs: int = 5
     lam0: float | None = None
-    delta_prime: float = 0.1
     tol_resolvent: float = 1e-10
     power_iters_res: int = 8
     power_iters_fac: int = 8
@@ -574,8 +572,8 @@ def convergence_study(cfg: StudyConfig) -> StudyResult:
         r2 = ResolventOperator(d2, lam0, tol=cfg.tol_resolvent).linop()
         d_res = operator_norm(subtract(r1, r2), g, iters=cfg.power_iters_res,
                               restarts=1, seed=cfg.seed * 51 + 9)
-        t1 = compose(AOperator(d1).op, s1.op("theta"))
-        t2 = compose(AOperator(d2).op, s2.op("theta"))
+        t1 = compose(AOperator(d1).op, s1.theta)
+        t2 = compose(AOperator(d2).op, s2.theta)
         d_fac = operator_norm(subtract(t1, t2), g, s_in=2.0, s_out=0.0,
                               iters=cfg.power_iters_fac, restarts=1,
                               seed=cfg.seed * 53 + 13)

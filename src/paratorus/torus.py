@@ -347,9 +347,23 @@ def _product_raw(g: Grid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return restrict_coeffs(np.fft.ifftn(pa * pb), m, g.n)
 
 
+def constant_value(coeffs: np.ndarray) -> float | None:
+    """The value of a constant field (every coefficient but k=0 is zero),
+    else None.  A real field's value is the real part of its k=0 entry."""
+    flat = coeffs.reshape(-1)
+    if np.any(flat[1:]):
+        return None
+    return float(flat[0].real)
+
+
 def pointwise_product(f: SpectralField, g: SpectralField) -> SpectralField:
-    """Dealiased product: evaluated on a 2x zero-padded grid, truncated back."""
+    """Dealiased product: evaluated on a 2x zero-padded grid, truncated back.
+    A constant factor multiplies the other exactly, without transforms."""
     _check_same_grid(f, g)
+    for const, other in ((f, g), (g, f)):
+        c = constant_value(const.coeffs)
+        if c is not None:
+            return field_from_coeffs(f.grid, c * other.coeffs)
     return field_from_coeffs(f.grid, _product_raw(f.grid, f.coeffs, g.coeffs))
 
 

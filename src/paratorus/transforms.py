@@ -3,16 +3,22 @@
 Given an enhanced tuple at scale eps, a frequency cutoff M tames the
 high-frequency part of the exponentials (L-infinity smallness) and a
 cutoff N tames the paracontrolled correction (operator-norm smallness).
-The stack then assembles
+build_stack assembles, as named operator fields of one TransformStack,
 
-    Lambda w   = (1-Delta)w - div((e^{P>M(V+2W)} - 1) prec grad w)
-    LambdaBar w = (1-Delta)w + (e^{P>M(-W-V)} - 1) prec (1-Delta)w
-    Upsilon, UpsilonBar  with  Lambda = (1-Delta) Upsilon  exactly,
-    Phi w = w - Lambda^{-1} P_{>N} ( w prec Z~^M
-              + div(grad w prec (e^{P>M(V+2W)} - 1))
-              + e^{P>M(V+W)} div(rho e^{P>M W} w) )
-    Gamma = Phi^{-1}  (geometric series)
-    Theta = e^{P>M W} . Gamma . Upsilon^{-1} . UpsilonBar^{-1}
+    lambda_     w = (1-Delta)w - div((e^{P>M(V+2W)} - 1) prec grad w)
+    lambda_bar  w = (1-Delta)w + (e^{P>M(-W-V)} - 1) prec (1-Delta)w
+    upsilon, upsilon_bar  with  Lambda = (1-Delta) Upsilon  exactly,
+    upsilon_inv, upsilon_bar_inv
+    phi         w = w - Lambda^{-1} P_{>N} ( w prec Z~^M
+                      + div(grad w prec (e^{P>M(V+2W)} - 1))
+                      + e^{P>M(V+W)} div(rho e^{P>M W} w) )
+    gamma       = Phi^{-1}  (geometric series)
+    theta       = e^{P>M W} . Gamma . Upsilon^{-1} . UpsilonBar^{-1}
+    theta_inv   = UpsilonBar . Upsilon . Phi . e^{-P>M W}
+
+from the five cached exponentials e_pw = e^{P>M W}, e_pw_inv, e_pwv =
+e^{P>M(V+W)}, e_pwv_inv and e_pv2w = e^{P>M(V+2W)}, which save_stack
+persists and verify_stack compares bit for bit.
 
 The modified potential Z~^M is the exact zeroth-order coefficient of the
 conjugated operator (see operators.apply_A_tilde), so the paracontrolled
@@ -22,14 +28,15 @@ subtraction inside Phi matches the conjugation identically:
            - |grad P>M W|^2 - grad V . grad P<=M W ) + (e^{P>M(V+2W)} - 1).
 
 All inverses are geometric series of certified contractions, truncated
-at a 1e-12 relative increment or 60 terms.  The stack is immutable after
-construction; applications are pure.
+at a 1e-12 relative increment or 60 terms.  The stack is a frozen value
+built once with its certificates measured; applications are pure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -73,7 +80,7 @@ NEUMANN_MAX_TERMS = 60
 DEFAULT_SIGMAS = (-2.0, 0.0, 1.0, 2.0)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TransformStack:
     data: EnhancedData
     partition: DyadicPartition
@@ -83,35 +90,41 @@ class TransformStack:
     probe_seed: int
     power_iters: int
     restarts: int
-    # cached exponentials e^{+-P>M W}, e^{+-P>M(V+W)}, e^{+-P>M(V+2W)}
-    e_pw: SpectralField = None
-    e_pw_inv: SpectralField = None
-    e_pwv: SpectralField = None
-    e_pwv_inv: SpectralField = None
-    e_pv2w: SpectralField = None
-    e_pv2w_inv: SpectralField = None
-    Z_tilde_M: SpectralField = None
-    V_tilde_M: tuple = None
-    cert_exp_plus: float = 0.0
-    cert_exp_minus: float = 0.0
-    cert_upsilon: dict = dc_field(default_factory=dict)
-    cert_phi: float = 0.0
-    _ops: dict = dc_field(default_factory=dict)
+    # cached exponentials e^{+-P>M W}, e^{+-P>M(V+W)}, e^{P>M(V+2W)}
+    e_pw: SpectralField
+    e_pw_inv: SpectralField
+    e_pwv: SpectralField
+    e_pwv_inv: SpectralField
+    e_pv2w: SpectralField
+    Z_tilde_M: SpectralField
+    V_tilde_M: tuple
+    lambda_: LinOp
+    lambda_bar: LinOp
+    upsilon: LinOp
+    upsilon_inv: LinOp
+    upsilon_bar: LinOp
+    upsilon_bar_inv: LinOp
+    phi: LinOp
+    gamma: LinOp
+    theta: LinOp
+    theta_inv: LinOp
+    cert_exp_plus: float
+    cert_exp_minus: float
+    cert_upsilon: MappingProxyType  # keyed by sigma
+    cert_phi: float
 
     @property
     def grid(self):
         return self.data.grid
-
-    def op(self, name: str) -> LinOp:
-        return self._ops[name]
 
 
 def _exp_certificate(f: SpectralField) -> float:
     return float(np.max(np.abs(to_physical(f) - 1.0)))
 
 
-def modified_potentials(data: EnhancedData, M: int):
-    """Exact M-modified zeroth-order potential and gradient coefficient."""
+def modified_potentials(data: EnhancedData, M: int, e_pv2w: SpectralField):
+    """Exact M-modified zeroth-order potential and gradient coefficient,
+    given e_pv2w = e^{P>M(V+2W)}."""
     g = data.grid
     Wp = project_frequencies(data.W, M, "high")
     Wq = data.W - Wp
@@ -123,7 +136,6 @@ def modified_potentials(data: EnhancedData, M: int):
         for cv, cq in zip(grad(data.V), grad(Wq)):
             inner = inner - pointwise_product(cv, cq)
     Vp = project_frequencies(data.V, M, "high")
-    e_pv2w = exp_field(Vp + 2.0 * Wp)
     z_tilde_m = pointwise_product(e_pv2w, inner) + (e_pv2w - constant_field(g, 1.0))
     v_tilde_m = tuple(
         pointwise_product(e_pv2w, cf + cp)
@@ -147,105 +159,88 @@ def build_stack(
     g = data.grid
     if partition.grid != g:
         raise ConfigurationError("partition grid does not match the data grid")
-    stack = TransformStack(
-        data=data, partition=partition, M=M, N=N,
-        sigma_list=tuple(sigma_list), probe_seed=probe_seed,
-        power_iters=power_iters, restarts=restarts,
-    )
     Wp = project_frequencies(data.W, M, "high")
     Vp = project_frequencies(data.V, M, "high")
-    stack.e_pw = exp_field(Wp)
-    stack.e_pw_inv = exp_field(-1.0 * Wp)
-    stack.e_pwv = exp_field(Wp + Vp)
-    stack.e_pwv_inv = exp_field(-1.0 * (Wp + Vp))
-    stack.e_pv2w = exp_field(Vp + 2.0 * Wp)
-    stack.e_pv2w_inv = exp_field(-1.0 * (Vp + 2.0 * Wp))
-    stack.cert_exp_plus = _exp_certificate(stack.e_pv2w)
-    stack.cert_exp_minus = _exp_certificate(stack.e_pwv_inv)
-    stack.Z_tilde_M, stack.V_tilde_M = modified_potentials(data, M)
-    _assemble_ops(stack)
-    _measure_certificates(stack)
-    return stack
+    e_pw = exp_field(Wp)
+    e_pw_inv = exp_field(-1.0 * Wp)
+    e_pwv = exp_field(Wp + Vp)
+    e_pwv_inv = exp_field(-1.0 * (Wp + Vp))
+    e_pv2w = exp_field(Vp + 2.0 * Wp)
+    cert_exp_plus = _exp_certificate(e_pv2w)
+    cert_exp_minus = _exp_certificate(e_pwv_inv)
+    Z_tilde_M, V_tilde_M = modified_potentials(data, M, e_pv2w)
 
-
-def _assemble_ops(stack: TransformStack) -> None:
-    g = stack.grid
-    P = stack.partition
     one = constant_field(g, 1.0)
-    E2 = stack.e_pv2w - one
-    E3 = stack.e_pwv_inv - one
+    E2 = e_pv2w - one
+    E3 = e_pwv_inv - one
     lap1 = multiplier_op(g.sobolev_symbol(2.0))        # 1 - Delta
     lap1_inv = multiplier_op(g.sobolev_symbol(-2.0))
-    ops = stack._ops
 
     # Lambda = (1-Delta) - sum_l d_l (E2 prec d_l .)
-    low_e2 = para_low_op(P, E2.coeffs)
+    low_e2 = para_low_op(partition, E2.coeffs)
     para_div = add(*[
         compose(deriv_op(g, l), low_e2, deriv_op(g, l)) for l in range(g.d)
     ])
-    ops["lambda"] = subtract(lap1, para_div)
+    lambda_ = subtract(lap1, para_div)
     K = compose(lap1_inv, para_div)
-    ops["upsilon"] = subtract(identity_op(), K)
-    ops["K"] = K
-    ops["upsilon_inv"] = neumann_inverse_op(K, g, s=1.0, tol=NEUMANN_TOL,
-                                            max_terms=NEUMANN_MAX_TERMS)
+    upsilon = subtract(identity_op(), K)
+    upsilon_inv = neumann_inverse_op(K, g, s=1.0, tol=NEUMANN_TOL,
+                                     max_terms=NEUMANN_MAX_TERMS)
 
     # LambdaBar = (1-Delta) + E3 prec (1-Delta) .
-    low_e3 = para_low_op(P, E3.coeffs)
+    low_e3 = para_low_op(partition, E3.coeffs)
     bar_term = compose(low_e3, lap1)
-    ops["lambda_bar"] = add(lap1, bar_term)
+    lambda_bar = add(lap1, bar_term)
     Kbar = scale(compose(lap1_inv, bar_term), -1.0)
-    ops["upsilon_bar"] = subtract(identity_op(), Kbar)
-    ops["Kbar"] = Kbar
-    ops["upsilon_bar_inv"] = neumann_inverse_op(Kbar, g, s=1.0, tol=NEUMANN_TOL,
-                                                max_terms=NEUMANN_MAX_TERMS)
+    upsilon_bar = subtract(identity_op(), Kbar)
+    upsilon_bar_inv = neumann_inverse_op(Kbar, g, s=1.0, tol=NEUMANN_TOL,
+                                         max_terms=NEUMANN_MAX_TERMS)
 
     # Phi = I - Lambda^{-1} P_{>N} G
-    high_zm = para_high_op(P, stack.Z_tilde_M.coeffs)
-    high_e2 = para_high_op(P, E2.coeffs)
+    high_zm = para_high_op(partition, Z_tilde_M.coeffs)
+    high_e2 = para_high_op(partition, E2.coeffs)
     grad_para = add(*[
         compose(deriv_op(g, l), high_e2, deriv_op(g, l)) for l in range(g.d)
     ])
     g_parts = [high_zm, grad_para]
-    if not stack.data.is_symmetric():
-        m_pwv = mult_field_op(g, stack.e_pwv.coeffs)
-        m_pw = mult_field_op(g, stack.e_pw.coeffs)
+    if not data.is_symmetric():
+        m_pwv = mult_field_op(g, e_pwv.coeffs)
+        m_pw = mult_field_op(g, e_pw.coeffs)
         rho_div = add(*[
-            compose(deriv_op(g, l), mult_field_op(g, stack.data.rho[l].coeffs), m_pw)
+            compose(deriv_op(g, l), mult_field_op(g, data.rho[l].coeffs), m_pw)
             for l in range(g.d)
         ])
         g_parts.append(compose(m_pwv, rho_div))
-    G = add(*g_parts)
-    ops["G"] = G
-    proj_n = multiplier_op(np.where(g.kabs > 2.0**stack.N, 1.0, 0.0))
-    lam_inv = compose(ops["upsilon_inv"], lap1_inv)
-    ops["lambda_inv"] = lam_inv
-    phi_step = compose(lam_inv, proj_n, G)
-    ops["phi_step"] = phi_step
-    ops["phi"] = subtract(identity_op(), phi_step)
-    ops["gamma"] = neumann_inverse_op(phi_step, g, s=1.0, tol=NEUMANN_TOL,
-                                      max_terms=NEUMANN_MAX_TERMS)
+    proj_n = multiplier_op(np.where(g.kabs > 2.0**N, 1.0, 0.0))
+    phi_step = compose(upsilon_inv, lap1_inv, proj_n, add(*g_parts))
+    phi = subtract(identity_op(), phi_step)
+    gamma = neumann_inverse_op(phi_step, g, s=1.0, tol=NEUMANN_TOL,
+                               max_terms=NEUMANN_MAX_TERMS)
 
-    m_epw = mult_field_op(g, stack.e_pw.coeffs)
-    m_epw_inv = mult_field_op(g, stack.e_pw_inv.coeffs)
-    ops["theta"] = compose(m_epw, ops["gamma"], ops["upsilon_inv"],
-                           ops["upsilon_bar_inv"])
-    ops["theta_inv"] = compose(ops["upsilon_bar"], ops["upsilon"], ops["phi"],
-                               m_epw_inv)
+    m_epw = mult_field_op(g, e_pw.coeffs)
+    m_epw_inv = mult_field_op(g, e_pw_inv.coeffs)
+    theta = compose(m_epw, gamma, upsilon_inv, upsilon_bar_inv)
+    theta_inv = compose(upsilon_bar, upsilon, phi, m_epw_inv)
 
-
-def _measure_certificates(stack: TransformStack) -> None:
-    g = stack.grid
-    kmax = 2.0**stack.partition.j_max
-    stack.cert_upsilon = {}
-    for s in stack.sigma_list:
-        stack.cert_upsilon[s] = operator_norm(
-            stack.op("K"), g, s_in=s, s_out=s, iters=stack.power_iters,
-            restarts=stack.restarts, seed=stack.probe_seed, kmax=kmax,
-        )
-    stack.cert_phi = operator_norm(
-        stack.op("phi_step"), g, s_in=1.0, s_out=1.0, iters=stack.power_iters,
-        restarts=stack.restarts, seed=stack.probe_seed + 1, kmax=kmax,
+    kmax = 2.0**partition.j_max
+    cert_upsilon = {
+        s: operator_norm(K, g, s_in=s, s_out=s, iters=power_iters,
+                         restarts=restarts, seed=probe_seed, kmax=kmax)
+        for s in sigma_list
+    }
+    cert_phi = operator_norm(phi_step, g, s_in=1.0, s_out=1.0, iters=power_iters,
+                             restarts=restarts, seed=probe_seed + 1, kmax=kmax)
+    return TransformStack(
+        data=data, partition=partition, M=M, N=N, sigma_list=tuple(sigma_list),
+        probe_seed=probe_seed, power_iters=power_iters, restarts=restarts,
+        e_pw=e_pw, e_pw_inv=e_pw_inv, e_pwv=e_pwv, e_pwv_inv=e_pwv_inv,
+        e_pv2w=e_pv2w, Z_tilde_M=Z_tilde_M, V_tilde_M=V_tilde_M,
+        lambda_=lambda_, lambda_bar=lambda_bar, upsilon=upsilon,
+        upsilon_inv=upsilon_inv, upsilon_bar=upsilon_bar,
+        upsilon_bar_inv=upsilon_bar_inv, phi=phi, gamma=gamma, theta=theta,
+        theta_inv=theta_inv, cert_exp_plus=cert_exp_plus,
+        cert_exp_minus=cert_exp_minus, cert_upsilon=MappingProxyType(cert_upsilon),
+        cert_phi=cert_phi,
     )
 
 
@@ -315,23 +310,24 @@ def apply_lambda(w: SpectralField, stack: TransformStack,
                  which: str = "lambda") -> SpectralField:
     if which not in ("lambda", "lambda_bar"):
         raise ConfigurationError(f"which must be lambda or lambda_bar, got {which!r}")
-    return _wrap(stack, stack.op(which).apply(w.coeffs))
+    op = stack.lambda_ if which == "lambda" else stack.lambda_bar
+    return _wrap(stack, op.apply(w.coeffs))
 
 
 def apply_upsilon(w: SpectralField, stack: TransformStack,
                   which: str = "upsilon", inverse: bool = False) -> SpectralField:
     if which not in ("upsilon", "upsilon_bar"):
         raise ConfigurationError(f"which must be upsilon or upsilon_bar, got {which!r}")
-    name = which + ("_inv" if inverse else "")
-    return _wrap(stack, stack.op(name).apply(w.coeffs))
+    op = getattr(stack, which + ("_inv" if inverse else ""))
+    return _wrap(stack, op.apply(w.coeffs))
 
 
 def apply_phi(w: SpectralField, stack: TransformStack) -> SpectralField:
-    return _wrap(stack, stack.op("phi").apply(w.coeffs))
+    return _wrap(stack, stack.phi.apply(w.coeffs))
 
 
 def apply_gamma(w_sharp: SpectralField, stack: TransformStack) -> SpectralField:
-    return _wrap(stack, stack.op("gamma").apply(w_sharp.coeffs))
+    return _wrap(stack, stack.gamma.apply(w_sharp.coeffs))
 
 
 @dataclass
@@ -350,13 +346,22 @@ class Theta:
 
 
 def assemble_theta(stack: TransformStack) -> Theta:
-    return Theta(stack, stack.op("theta"), stack.op("theta_inv"))
+    return Theta(stack, stack.theta, stack.theta_inv)
 
 
 # ---------------------------------------------------------------------------
 # persistence and re-verification
 
-_EXP_NAMES = ("e_pw", "e_pw_inv", "e_pwv", "e_pwv_inv", "e_pv2w", "e_pv2w_inv")
+_EXP_NAMES = ("e_pw", "e_pw_inv", "e_pwv", "e_pwv_inv", "e_pv2w")
+
+
+def _certificates(stack: TransformStack) -> dict[str, float]:
+    """The persisted certificates keyed as in stack_meta, in file order."""
+    certs = {"cert_exp": stack.cert_exp_plus,
+             "cert_exp_minus": stack.cert_exp_minus}
+    certs.update({f"cert_ups_{s:g}": stack.cert_upsilon[s] for s in stack.sigma_list})
+    certs["cert_phi"] = stack.cert_phi
+    return certs
 
 
 def save_stack(stack: TransformStack, directory) -> None:
@@ -368,11 +373,8 @@ def save_stack(stack: TransformStack, directory) -> None:
     with open(d / "stack_meta", "w") as fh:
         fh.write(f"M={stack.M}\n")
         fh.write(f"N={stack.N}\n")
-        fh.write(f"cert_exp={stack.cert_exp_plus:.17g}\n")
-        fh.write(f"cert_exp_minus={stack.cert_exp_minus:.17g}\n")
-        for s in stack.sigma_list:
-            fh.write(f"cert_ups_{s:g}={stack.cert_upsilon[s]:.17g}\n")
-        fh.write(f"cert_phi={stack.cert_phi:.17g}\n")
+        for key, value in _certificates(stack).items():
+            fh.write(f"{key}={value:.17g}\n")
         fh.write(f"probe_seed={stack.probe_seed}\n")
         fh.write(f"power_iters={stack.power_iters}\n")
         fh.write(f"restarts={stack.restarts}\n")
@@ -400,19 +402,8 @@ def verify_stack(directory) -> dict:
     d = Path(directory)
     meta = read_meta(d / "stack_meta")
     stack = load_stack(d)
-    stored = {
-        "cert_exp": float(meta["cert_exp"]),
-        "cert_exp_minus": float(meta["cert_exp_minus"]),
-        "cert_phi": float(meta["cert_phi"]),
-    }
-    recomputed = {
-        "cert_exp": stack.cert_exp_plus,
-        "cert_exp_minus": stack.cert_exp_minus,
-        "cert_phi": stack.cert_phi,
-    }
-    for s in stack.sigma_list:
-        stored[f"cert_ups_{s:g}"] = float(meta[f"cert_ups_{s:g}"])
-        recomputed[f"cert_ups_{s:g}"] = stack.cert_upsilon[s]
+    recomputed = _certificates(stack)
+    stored = {key: float(meta[key]) for key in recomputed}
     for key, value in stored.items():
         if recomputed[key] != value:
             raise CertificateError(

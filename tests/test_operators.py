@@ -85,7 +85,7 @@ class TestATilde:
         g = zero_stack.grid
         u = probe(g, 3)
         out, disc = apply_A_tilde(u, zero_stack)
-        assert disc <= 1e-11  # cached exponentials are one only to round-off
+        assert disc <= 1e-11
         assert np.max(np.abs(out.coeffs - sobolev_scale(u, 2.0).coeffs)) < 1e-12
 
     def test_smooth_manufactured_two_way(self):

@@ -252,7 +252,9 @@ class TestPointwiseProduct:
         g = grid(2, 16)
         f = to_spectral(np.random.default_rng(9).standard_normal(g.shape), g)
         one = torus.constant_field(g, 1.0)
-        assert np.max(np.abs(pointwise_product(f, one).coeffs - f.coeffs)) < 1e-14
+        assert np.array_equal(pointwise_product(f, one).coeffs, f.coeffs)
+        c = torus.constant_field(g, -2.75)
+        assert np.array_equal(pointwise_product(c, f).coeffs, (-2.75 * f).coeffs)
 
     def test_two_single_modes(self):
         g = grid(2, 8)

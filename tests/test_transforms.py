@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -66,10 +68,14 @@ class TestZeroData:
                 assert np.array_equal(out.coeffs, w.coeffs)
         assert np.array_equal(apply_phi(w, zero_stack).coeffs, w.coeffs)
         theta = assemble_theta(zero_stack)
-        # the cached exponential of the zero field is one only to round-off
-        scale = np.max(np.abs(w.coeffs))
-        assert np.max(np.abs(theta.forward(w).coeffs - w.coeffs)) <= 1e-14 * scale
-        assert np.max(np.abs(theta.inverse(w).coeffs - w.coeffs)) <= 1e-14 * scale
+        assert np.array_equal(theta.forward(w).coeffs, w.coeffs)
+        assert np.array_equal(theta.inverse(w).coeffs, w.coeffs)
+
+    def test_stack_is_frozen(self, zero_stack):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            zero_stack.N = 1
+        with pytest.raises(TypeError):
+            zero_stack.cert_upsilon[0.0] = 1.0
 
 
 class TestCertificates:
@@ -197,6 +203,17 @@ class TestPersistence:
         meta = meta.replace("cert_phi=", "cert_phi=9")
         (tmp_path / "stack" / "stack_meta").write_text(meta)
         with pytest.raises(CertificateError):
+            verify_stack(tmp_path / "stack")
+
+    def test_flipped_exponential_bit_detected(self, anderson_stack, tmp_path):
+        from paratorus.errors import CertificateError
+        save_stack(anderson_stack, tmp_path / "stack")
+        path = tmp_path / "stack" / "e_pw.pcf"
+        raw = bytearray(path.read_bytes())
+        first_coeff = raw.index(b"\n") + 1
+        raw[first_coeff] ^= 1  # lowest mantissa bit of Re e_pw(k=0)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CertificateError, match="e_pw mismatch"):
             verify_stack(tmp_path / "stack")
 
 
