@@ -8,9 +8,16 @@ alongside each operator lets operator norms be estimated by power
 iteration on T* T, including in Sobolev-weighted spaces via conjugation
 with the diagonal weights.
 
+The operators act on Hermitian coefficient arrays, the coefficients of
+real fields, and are linear over the reals: the multiplications and
+paraproducts run real FFTs on the half spectrum (last-axis frequency
+index 0..n/2) and return its Hermitian completion, so the other half of
+the input is never read.  Solvers and eigen iterations that use them
+must therefore combine vectors with real scalars only.
+
 The inner product throughout is the plain l^2 product of coefficient
 arrays, which by the transform normalization equals the grid-mean L^2
-product of the physical fields.
+product of the physical fields; on Hermitian arrays it is real.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import numpy as np
 
 from .errors import CertificateError
 from .paraproducts import HighSidePara, LowSidePara
-from .torus import Grid, constant_value, embed_coeffs, fold_lattice, split_lattice
+from .torus import Grid, add_split_half, constant_value, fold_half, full_spectrum
 
 Array = np.ndarray
 
@@ -90,25 +97,32 @@ def scale(op: LinOp, c: float) -> LinOp:
 def mult_field_op(g: Grid, coeffs: Array) -> LinOp:
     """Dealiased multiplication by the real field with the given coefficients.
 
-    Forward: fold(ifft(phi . fft(split(x)))); the physical factor phi is
-    cached on the doubled grid.  Self-adjoint up to the Nyquist-edge
-    weight bookkeeping, which the adjoint handles exactly.  A constant
-    field multiplies by its value, exactly and without transforms."""
+    Forward: fold(rfft(phi . irfft(split(x)))) on half spectra; the
+    physical factor phi is cached on the doubled grid.  Self-adjoint up to
+    the Nyquist-edge weight bookkeeping, which the adjoint handles exactly.
+    A constant field multiplies by its value, exactly and without
+    transforms."""
     c = constant_value(coeffs)
     if c is not None:
         return LinOp(lambda x: c * x, lambda x: c * x)
-    m = 2 * g.n
-    phi = np.fft.fftn(embed_coeffs(coeffs, g.n, m)).real
+    n, m = g.n, 2 * g.n
+    shape, axes = (m,) * g.d, tuple(range(g.d))
 
-    def apply(x):
-        big = split_lattice(x, g.n, m, weight=0.5)
-        return fold_lattice(np.fft.ifftn(phi * np.fft.fftn(big)), m, g.n, weight=1.0)
+    def split(x, weight):
+        big = np.zeros((m,) * (g.d - 1) + (n + 1,), np.complex128)
+        add_split_half(big, x[..., : n // 2 + 1], n, weight)
+        return big
 
-    def adjoint(x):
-        big = split_lattice(x, g.n, m, weight=1.0)
-        return fold_lattice(np.fft.ifftn(phi * np.fft.fftn(big)), m, g.n, weight=0.5)
+    phi = np.fft.irfftn(split(coeffs, 0.5), s=shape, axes=axes, norm="forward")
 
-    return LinOp(apply, adjoint)
+    def multiply(x, split_weight, fold_weight):
+        big = split(x, split_weight)
+        prod = np.fft.rfftn(
+            phi * np.fft.irfftn(big, s=shape, axes=axes, norm="forward"),
+            axes=axes, norm="forward")
+        return full_spectrum(fold_half(prod, m, n, fold_weight), n)
+
+    return LinOp(lambda x: multiply(x, 0.5, 1.0), lambda x: multiply(x, 1.0, 0.5))
 
 
 def deriv_op(g: Grid, axis: int) -> LinOp:

@@ -50,6 +50,7 @@ from .torus import (
     grid,
     l2_norm,
     pointwise_product,
+    project_frequencies,
     zero_field,
 )
 from .transforms import (
@@ -112,8 +113,10 @@ def apply_A_tilde(v: SpectralField, stack: TransformStack):
     gv = grad(v)
     flux = [pointwise_product(stack.e_pv2w, c) for c in gv]
     b = v - div(flux)
-    for vt, c in zip(stack.V_tilde_M, gv):
-        b = b + pointwise_product(vt, c)
+    # V~^M = e^{P>M(V+2W)} (grad V + grad P>M V)
+    Vp = project_frequencies(data.V, stack.M, "high")
+    for cf, cp, c in zip(grad(data.V), grad(Vp), gv):
+        b = b + pointwise_product(pointwise_product(stack.e_pv2w, cf + cp), c)
     b = b + pointwise_product(stack.Z_tilde_M, v)
     if not data.is_symmetric():
         carried = [pointwise_product(r, inner) for r in data.rho]
@@ -209,6 +212,8 @@ def factorization_remainder(stack: TransformStack, trials: int = 20,
 # preconditioned iterative solvers (matrix-free, deterministic)
 
 def _inner(a, b) -> float:
+    """The real inner product: exact for the real-linear operators on
+    Hermitian arrays, and it keeps every Krylov iterate Hermitian."""
     return float(np.vdot(a, b).real)
 
 
@@ -256,7 +261,7 @@ def _bicgstab(apply_s, precond, b, tol, max_iter):
     v = np.zeros_like(b)
     p = np.zeros_like(b)
     for it in range(1, max_iter + 1):
-        rho_new = np.vdot(r0, r)
+        rho_new = _inner(r0, r)
         if rho_new == 0.0:
             break
         if it == 1:
@@ -267,7 +272,7 @@ def _bicgstab(apply_s, precond, b, tol, max_iter):
         rho = rho_new
         ph = precond(p)
         v = apply_s(ph)
-        alpha = rho / np.vdot(r0, v)
+        alpha = rho / _inner(r0, v)
         s = r - alpha * v
         sn = np.sqrt(_inner(s, s))
         if sn <= tol * bnorm:
@@ -275,7 +280,7 @@ def _bicgstab(apply_s, precond, b, tol, max_iter):
             return x, sn / bnorm, it
         sh = precond(s)
         t = apply_s(sh)
-        omega = np.vdot(t, s) / np.vdot(t, t)
+        omega = _inner(t, s) / _inner(t, t)
         x += alpha * ph + omega * sh
         r = s - omega * t
         rn = np.sqrt(_inner(r, r))
@@ -332,12 +337,11 @@ class ResolventOperator:
         return LinOp(self.solve_coeffs, self.solve_adjoint_coeffs)
 
     def solve(self, f: SpectralField) -> ResolventResult:
-        x = self.solve_coeffs(f.coeffs)
-        resid = self.s_op.apply(x) - f.coeffs
+        u = field_from_coeffs(self.g, self.solve_coeffs(f.coeffs))
+        resid = self.s_op.apply(u.coeffs) - f.coeffs
         rel = np.sqrt(_inner(resid, resid)) / max(np.sqrt(_inner(f.coeffs,
                                                                  f.coeffs)), 1e-300)
-        return ResolventResult(field_from_coeffs(self.g, x), float(rel),
-                               self.last_iterations)
+        return ResolventResult(u, float(rel), self.last_iterations)
 
 
 def resolvent(f: SpectralField, data: EnhancedData, lam0: float,
@@ -354,7 +358,7 @@ def _orthonormalize(vectors):
     for v in vectors:
         w = v.copy()
         for u in out:
-            w -= np.vdot(u, w) * u
+            w -= _inner(u, w) * u
         nw = np.sqrt(_inner(w, w))
         if nw > 1e-14:
             out.append(w / nw)

@@ -14,7 +14,8 @@ Two evaluation paths are provided: a batch path on the doubled grid
 (used by `bony_decompose` and `para_apply`) and per-block small-grid
 operators with exact adjoints (`LowSidePara`, `HighSidePara`) used in
 the transform compositions, where the fixed factor's block data is
-cached.  Both compute the same exact convolutions.
+cached and the blocks run real FFTs on half spectra.  Both compute the
+same exact convolutions.
 """
 
 from __future__ import annotations
@@ -25,11 +26,12 @@ from .errors import ConfigurationError
 from .lp import BesovIndex, CheckReport, DyadicPartition, besov_norm, random_field_with_decay
 from .torus import (
     SpectralField,
+    add_split_half,
     embed_coeffs,
     field_from_coeffs,
-    fold_lattice,
+    fold_half,
+    full_spectrum,
     restrict_coeffs,
-    split_lattice,
 )
 
 _WHICH = ("prec", "succ", "reso", "preceq", "succeq")
@@ -107,20 +109,11 @@ def _small_sizes(P: DyadicPartition) -> dict[int, int]:
     return {j: min(n, 2 ** (j + 3)) for j in range(1, P.j_max + 1)}
 
 
-def _gather(coeffs, n, m):
-    return fold_lattice(coeffs, n, m, weight=1.0)
-
-
-def _scatter(coeffs, m, n):
-    return split_lattice(coeffs, m, n, weight=0.5)
-
-
-def _gather_adj(coeffs, m, n):  # adjoint of _gather: split with weight 1
-    return split_lattice(coeffs, m, n, weight=1.0)
-
-
-def _scatter_adj(coeffs, n, m):  # adjoint of _scatter: fold with weight 1/2
-    return fold_lattice(coeffs, n, m, weight=0.5)
+def _on_block_grid(sym: np.ndarray, n: int, m: int) -> np.ndarray:
+    """Half spectrum of a radial symbol on the m-lattice (m <= n)."""
+    k = np.arange(m)
+    src = np.where(k <= m // 2, k, k + n - m)
+    return sym[np.ix_(*([src] * (sym.ndim - 1) + [src[: m // 2 + 1]]))]
 
 
 class _FixedSidePara:
@@ -128,36 +121,49 @@ class _FixedSidePara:
 
     `fixed_sym(j)` selects the cached factor's symbol, `moving_sym(j)` the
     filter applied to the argument.  Adjoint: filter_j (fixed_j * w).
+    Blocks are evaluated with real FFTs on half spectra and summed into one
+    half spectrum; the symbols are radial, so they are applied on the block
+    grid, where the Nyquist pairs they multiply share one value.
     """
 
     def __init__(self, P: DyadicPartition, fixed_coeffs: np.ndarray,
                  fixed_sym, moving_sym):
         self.P = P
-        self.n = P.grid.n
+        self.n = n = P.grid.n
+        self.axes = tuple(range(P.grid.d))
         self.sizes = _small_sizes(P)
-        self.moving = {j: moving_sym(j) for j in self.sizes}
+        self.moving = {j: _on_block_grid(moving_sym(j), n, m)
+                       for j, m in self.sizes.items()}
         self.cached = {}
         for j, m in self.sizes.items():
-            c = _gather(fixed_sym(j) * fixed_coeffs, self.n, m)
-            self.cached[j] = np.fft.fftn(c)
+            c = _on_block_grid(fixed_sym(j), n, m) * fold_half(fixed_coeffs, n, m, 1.0)
+            self.cached[j] = np.fft.irfftn(c, s=(m,) * len(self.axes),
+                                           axes=self.axes, norm="forward")
+
+    def _product(self, j: int, m: int, half: np.ndarray) -> np.ndarray:
+        """Half spectrum of the fixed factor times the field `half`, on the
+        m-lattice of block j."""
+        phys = np.fft.irfftn(half, s=(m,) * len(self.axes), axes=self.axes,
+                             norm="forward")
+        return np.fft.rfftn(self.cached[j] * phys, axes=self.axes, norm="forward")
 
     def apply(self, coeffs: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.P.grid.shape, np.complex128)
+        n = self.n
+        out = np.zeros(coeffs.shape[:-1] + (n // 2 + 1,), np.complex128)
         for j, m in self.sizes.items():
-            wj = _gather(self.moving[j] * coeffs, self.n, m)
-            prod = np.fft.ifftn(self.cached[j] * np.fft.fftn(wj))
-            out += _scatter(prod, m, self.n)
-        return out
+            wj = self.moving[j] * fold_half(coeffs, n, m, 1.0)
+            add_split_half(out, self._product(j, m, wj), m, 0.5)
+        return full_spectrum(out, n)
 
     def adjoint(self, coeffs: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.P.grid.shape, np.complex128)
+        # the real transforms' normalizations cancel around the real
+        # physical factor, leaving the mirrored composition
+        n = self.n
+        out = np.zeros(coeffs.shape[:-1] + (n // 2 + 1,), np.complex128)
         for j, m in self.sizes.items():
-            wj = _scatter_adj(coeffs, self.n, m)
-            # fftn* = m^d ifftn and ifftn* = fftn / m^d cancel around the
-            # real-valued physical factor, leaving the mirrored composition
-            prod = np.fft.ifftn(np.conj(self.cached[j]) * np.fft.fftn(wj))
-            out += self.moving[j] * _gather_adj(prod, m, self.n)
-        return out
+            wj = fold_half(coeffs, n, m, 0.5)
+            add_split_half(out, self.moving[j] * self._product(j, m, wj), m, 1.0)
+        return full_spectrum(out, n)
 
 
 class LowSidePara(_FixedSidePara):

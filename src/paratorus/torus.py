@@ -19,6 +19,7 @@ call concurrently; nothing here caches FFT state.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -324,6 +325,88 @@ def fold_lattice(coeffs: np.ndarray, n_src: int, n_dst: int,
     out = coeffs
     for axis in range(coeffs.ndim):
         out = fold_axis(out, axis, n_src, n_dst, weight)
+    return out
+
+
+# Half spectra: the entries with last-axis frequency index 0..n/2 of a
+# Hermitian coefficient array, the input and output of numpy's real FFTs.
+# The helpers below act on a half spectrum as split_lattice / fold_lattice
+# act on the full array it stands for; the entries at last-axis index
+# -n/2 that those fold or split are implied by Hermitian symmetry.
+
+@lru_cache(maxsize=64)
+def _nyquist_weights(n: int, d: int, weight: float) -> np.ndarray:
+    """weight^(number of axes at index n/2) on an n-lattice half spectrum."""
+    h = n // 2
+    w = np.ones((n,) * (d - 1) + (h + 1,))
+    for axis in range(d):
+        w[(slice(None),) * axis + (h,)] *= weight
+    w.flags.writeable = False
+    return w
+
+
+@lru_cache(maxsize=64)
+def _split_pieces(n_small: int, n_big: int, d: int) -> tuple:
+    """(small, big) index pairs of the blocks a split from the n_small to
+    the n_big lattice copies: per leading axis 0..h -> 0..h and
+    h..n_small-1 -> n_big-h..n_big-1, so the Nyquist index h goes to +-h."""
+    h = n_small // 2
+    per_axis = ((slice(0, h + 1), slice(0, h + 1)),
+                (slice(h, n_small), slice(n_big - h, n_big)))
+    last = (slice(0, h + 1),)
+    return tuple(
+        (tuple(s for s, _ in combo) + last, tuple(b for _, b in combo) + last)
+        for combo in itertools.product(per_axis, repeat=d - 1)
+    )
+
+
+def add_split_half(out: np.ndarray, half: np.ndarray, n_src: int,
+                   weight: float) -> None:
+    """Add to the larger-lattice half spectrum `out` the half spectrum of
+    split_lattice(full, n_src, n_dst, weight), `half` that of `full`."""
+    n_dst = 2 * (out.shape[-1] - 1)
+    if n_dst == n_src:
+        out += half
+        return
+    src = half * _nyquist_weights(n_src, half.ndim, weight)
+    for small, big in _split_pieces(n_src, n_dst, half.ndim):
+        out[big] += src[small]
+
+
+def fold_half(arr: np.ndarray, n_src: int, n_dst: int,
+              weight: float) -> np.ndarray:
+    """Half spectrum of fold_lattice(full, n_src, n_dst, weight); `arr` is
+    the half spectrum of `full`, or `full` itself."""
+    h = n_dst // 2
+    if n_dst == n_src:
+        return arr[..., : h + 1]
+    out = np.zeros((n_dst,) * (arr.ndim - 1) + (h + 1,), arr.dtype)
+    for small, big in _split_pieces(n_dst, n_src, arr.ndim):
+        out[small] += arr[big]
+    out *= _nyquist_weights(n_dst, arr.ndim, weight)
+    ny = out[..., h]
+    ny += np.conj(_negate(ny))
+    return out
+
+
+def _negate(arr: np.ndarray) -> np.ndarray:
+    """arr at index -k (mod the axis length) along every axis."""
+    for axis in range(arr.ndim):
+        n = arr.shape[axis]
+        arr = arr.take((-np.arange(n)) % n, axis=axis)
+    return arr
+
+
+def full_spectrum(half: np.ndarray, n: int) -> np.ndarray:
+    """The full n-lattice Hermitian array whose half spectrum is `half`."""
+    out = np.empty(half.shape[:-1] + (n,), np.complex128)
+    out[..., : n // 2 + 1] = half
+    # out[k, -l] = conj(half[-k, l]) for 0 < l < n/2, -k taken per axis
+    per_axis = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
+    for combo in itertools.product(per_axis, repeat=half.ndim - 1):
+        dst = tuple(a for a, _ in combo) + (slice(n // 2 + 1, None),)
+        src = tuple(b for _, b in combo) + (slice(n // 2 - 1, 0, -1),)
+        np.conjugate(half[src], out=out[dst])
     return out
 
 

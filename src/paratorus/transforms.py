@@ -18,7 +18,9 @@ build_stack assembles, as named operator fields of one TransformStack,
 
 from the five cached exponentials e_pw = e^{P>M W}, e_pw_inv, e_pwv =
 e^{P>M(V+W)}, e_pwv_inv and e_pv2w = e^{P>M(V+2W)}, which save_stack
-persists and verify_stack compares bit for bit.
+persists and verify_stack compares bit for bit.  save_stack also stamps
+the version of the operator kernels, and verify_stack refuses a stack
+saved under other kernels.
 
 The modified potential Z~^M is the exact zeroth-order coefficient of the
 conjugated operator (see operators.apply_A_tilde), so the paracontrolled
@@ -97,7 +99,6 @@ class TransformStack:
     e_pwv_inv: SpectralField
     e_pv2w: SpectralField
     Z_tilde_M: SpectralField
-    V_tilde_M: tuple
     lambda_: LinOp
     lambda_bar: LinOp
     upsilon: LinOp
@@ -122,9 +123,9 @@ def _exp_certificate(f: SpectralField) -> float:
     return float(np.max(np.abs(to_physical(f) - 1.0)))
 
 
-def modified_potentials(data: EnhancedData, M: int, e_pv2w: SpectralField):
-    """Exact M-modified zeroth-order potential and gradient coefficient,
-    given e_pv2w = e^{P>M(V+2W)}."""
+def modified_potential(data: EnhancedData, M: int, e_pv2w: SpectralField):
+    """Exact M-modified zeroth-order potential Z~^M, given
+    e_pv2w = e^{P>M(V+2W)}."""
     g = data.grid
     Wp = project_frequencies(data.W, M, "high")
     Wq = data.W - Wp
@@ -135,13 +136,7 @@ def modified_potentials(data: EnhancedData, M: int, e_pv2w: SpectralField):
     if l2_norm(data.V) > 0.0:
         for cv, cq in zip(grad(data.V), grad(Wq)):
             inner = inner - pointwise_product(cv, cq)
-    Vp = project_frequencies(data.V, M, "high")
-    z_tilde_m = pointwise_product(e_pv2w, inner) + (e_pv2w - constant_field(g, 1.0))
-    v_tilde_m = tuple(
-        pointwise_product(e_pv2w, cf + cp)
-        for cf, cp in zip(grad(data.V), grad(Vp))
-    )
-    return z_tilde_m, v_tilde_m
+    return pointwise_product(e_pv2w, inner) + (e_pv2w - constant_field(g, 1.0))
 
 
 def build_stack(
@@ -168,7 +163,7 @@ def build_stack(
     e_pv2w = exp_field(Vp + 2.0 * Wp)
     cert_exp_plus = _exp_certificate(e_pv2w)
     cert_exp_minus = _exp_certificate(e_pwv_inv)
-    Z_tilde_M, V_tilde_M = modified_potentials(data, M, e_pv2w)
+    Z_tilde_M = modified_potential(data, M, e_pv2w)
 
     one = constant_field(g, 1.0)
     E2 = e_pv2w - one
@@ -234,7 +229,7 @@ def build_stack(
         data=data, partition=partition, M=M, N=N, sigma_list=tuple(sigma_list),
         probe_seed=probe_seed, power_iters=power_iters, restarts=restarts,
         e_pw=e_pw, e_pw_inv=e_pw_inv, e_pwv=e_pwv, e_pwv_inv=e_pwv_inv,
-        e_pv2w=e_pv2w, Z_tilde_M=Z_tilde_M, V_tilde_M=V_tilde_M,
+        e_pv2w=e_pv2w, Z_tilde_M=Z_tilde_M,
         lambda_=lambda_, lambda_bar=lambda_bar, upsilon=upsilon,
         upsilon_inv=upsilon_inv, upsilon_bar=upsilon_bar,
         upsilon_bar_inv=upsilon_bar_inv, phi=phi, gamma=gamma, theta=theta,
@@ -353,6 +348,11 @@ def assemble_theta(stack: TransformStack) -> Theta:
 # persistence and re-verification
 
 _EXP_NAMES = ("e_pw", "e_pw_inv", "e_pwv", "e_pwv_inv", "e_pv2w")
+# The arithmetic of the operator kernels (linops.mult_field_op and the
+# per-block paraproducts): a saved stack re-verifies bit for bit only
+# under the kernels that certified it.  Stacks saved before the stamp
+# was written used complex FFTs.
+KERNEL_VERSION = "r2c-1"
 
 
 def _certificates(stack: TransformStack) -> dict[str, float]:
@@ -371,6 +371,7 @@ def save_stack(stack: TransformStack, directory) -> None:
     for name in _EXP_NAMES:
         write_pcf1(d / f"{name}.pcf", getattr(stack, name))
     with open(d / "stack_meta", "w") as fh:
+        fh.write(f"kernel={KERNEL_VERSION}\n")
         fh.write(f"M={stack.M}\n")
         fh.write(f"N={stack.N}\n")
         for key, value in _certificates(stack).items():
@@ -398,9 +399,17 @@ def verify_stack(directory) -> dict:
     """Rebuild the persisted stack and re-check every certificate bit-exactly.
 
     Returns the comparison table; raises CertificateError on any mismatch
-    or if a certificate is out of bounds."""
+    or if a certificate is out of bounds, and ConfigurationError if the
+    stack was saved under other operator kernels."""
     d = Path(directory)
     meta = read_meta(d / "stack_meta")
+    kernel = meta.get("kernel", "c2c (no kernel stamp)")
+    if kernel != KERNEL_VERSION:
+        raise ConfigurationError(
+            f"stack saved with operator kernel {kernel}, but this build "
+            f"computes with kernel {KERNEL_VERSION}; its certificates cannot "
+            f"be re-verified bit for bit, so build and save it again"
+        )
     stack = load_stack(d)
     recomputed = _certificates(stack)
     stored = {key: float(meta[key]) for key in recomputed}

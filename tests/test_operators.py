@@ -19,6 +19,7 @@ from paratorus.operators import (
     equivalence_constants,
     factorization_remainder,
     resolvent,
+    select_shift,
     spectrum,
 )
 from paratorus.torus import (
@@ -147,6 +148,25 @@ class TestResolvent:
             u = resolvent(f, data, lam0=10.0)
             back = shifted.apply(u) + 10.0 * u
             assert l2_norm(back - f) <= 1e-9 * max(1.0, l2_norm(f))
+
+    def test_nonsymmetric_residual_checked_independently(self):
+        # drift data runs BiCGStab; the residual is recomputed from the
+        # returned field with AOperator.apply, as the benchmark checks it
+        g = grid(2, 32)
+        data = enhance_generic(NoiseSpec("generic_I", seed=1, amplitude=2.0),
+                               g, 2.0**-3)
+        lam0 = select_shift([data], 1e-10, seed=1)
+        rop = ResolventOperator(data, lam0, tol=1e-10)
+        assert not rop.symmetric
+        a_op = AOperator(data)
+        rng = np.random.default_rng(5)
+        for _ in range(4):
+            f = random_field_with_decay(g, 1.0, rng, kmax=8.0)
+            res = rop.solve(f)
+            r = a_op.apply(res.u).coeffs + lam0 * res.u.coeffs - f.coeffs
+            rel = np.linalg.norm(r) / np.linalg.norm(f.coeffs)
+            assert rel <= 1e-10
+            assert abs(res.residual - rel) <= 1e-3 * rel
 
     def test_shift_too_small(self):
         g = grid(2, 32)

@@ -3,13 +3,16 @@ pyproject.toml imports and every console script names a real callable."""
 
 import importlib
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 tomllib = pytest.importorskip("tomllib")
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def _project() -> dict:
@@ -42,3 +45,13 @@ def test_script_targets_resolve():
         if not callable(obj):
             broken.append(f"{name} = {target}")
     assert not broken, f"console scripts whose target does not resolve: {broken}"
+
+
+def test_operators_import_without_scipy():
+    # scipy is not a dependency, and importing it costs start-up time and
+    # memory in every process that builds an operator
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import paratorus.operators; print('scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, str(ROOT / "src")],
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"

@@ -16,6 +16,7 @@ from paratorus.torus import (
     to_spectral,
 )
 from paratorus.transforms import (
+    KERNEL_VERSION,
     apply_gamma,
     apply_lambda,
     apply_phi,
@@ -214,6 +215,16 @@ class TestPersistence:
         raw[first_coeff] ^= 1  # lowest mantissa bit of Re e_pw(k=0)
         path.write_bytes(bytes(raw))
         with pytest.raises(CertificateError, match="e_pw mismatch"):
+            verify_stack(tmp_path / "stack")
+
+
+    def test_unstamped_stack_refused(self, anderson_stack, tmp_path):
+        save_stack(anderson_stack, tmp_path / "stack")
+        path = tmp_path / "stack" / "stack_meta"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(l for l in lines if not l.startswith("kernel=")))
+        with pytest.raises(ConfigurationError,
+                           match=f"no kernel stamp.*{KERNEL_VERSION}"):
             verify_stack(tmp_path / "stack")
 
 
