@@ -43,7 +43,8 @@ class ShiftTooSmallError(ParatorusError):
 
 
 class DataError(ParatorusError):
-    """Enhanced-data tuple is missing required ingredients."""
+    """Enhanced data, or a field file, is missing ingredients, malformed
+    or non-finite."""
 
 
 class EigenSolverError(ParatorusError):

@@ -8,12 +8,15 @@ alongside each operator lets operator norms be estimated by power
 iteration on T* T, including in Sobolev-weighted spaces via conjugation
 with the diagonal weights.
 
-The operators act on Hermitian coefficient arrays, the coefficients of
-real fields, and are linear over the reals: the multiplications and
-paraproducts run real FFTs on the half spectrum (last-axis frequency
-index 0..n/2) and return its Hermitian completion, so the other half of
-the input is never read.  Solvers and eigen iterations that use them
-must therefore combine vectors with real scalars only.
+The multiplications and paraproducts are block lists of the one
+dealiased-product engine, `paraproducts._FixedSidePara`: a field
+multiplication is a single unfiltered block on the doubled grid 2n.
+The engine runs real FFTs on the half spectrum (last-axis frequency
+index 0..n/2) and returns its Hermitian completion, so the other half of
+the input is never read: the operators act on Hermitian coefficient
+arrays, the coefficients of real fields, and are linear over the reals.
+Solvers and eigen iterations that use them must therefore combine
+vectors with real scalars only.
 
 The inner product throughout is the plain l^2 product of coefficient
 arrays, which by the transform normalization equals the grid-mean L^2
@@ -28,8 +31,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import CertificateError
-from .paraproducts import HighSidePara, LowSidePara
-from .torus import Grid, add_split_half, constant_value, fold_half, full_spectrum
+from .paraproducts import HighSidePara, LowSidePara, _FixedSidePara
+from .torus import Grid, constant_value
 
 Array = np.ndarray
 
@@ -95,34 +98,17 @@ def scale(op: LinOp, c: float) -> LinOp:
 
 
 def mult_field_op(g: Grid, coeffs: Array) -> LinOp:
-    """Dealiased multiplication by the real field with the given coefficients.
-
-    Forward: fold(rfft(phi . irfft(split(x)))) on half spectra; the
-    physical factor phi is cached on the doubled grid.  Self-adjoint up to
-    the Nyquist-edge weight bookkeeping, which the adjoint handles exactly.
+    """Dealiased multiplication by the real field with the given coefficients:
+    one unfiltered block of the paraproduct engine on the doubled grid,
+    where the field's physical values are cached.  Self-adjoint up to the
+    Nyquist-edge weight bookkeeping, which the adjoint handles exactly.
     A constant field multiplies by its value, exactly and without
     transforms."""
     c = constant_value(coeffs)
     if c is not None:
         return LinOp(lambda x: c * x, lambda x: c * x)
-    n, m = g.n, 2 * g.n
-    shape, axes = (m,) * g.d, tuple(range(g.d))
-
-    def split(x, weight):
-        big = np.zeros((m,) * (g.d - 1) + (n + 1,), np.complex128)
-        add_split_half(big, x[..., : n // 2 + 1], n, weight)
-        return big
-
-    phi = np.fft.irfftn(split(coeffs, 0.5), s=shape, axes=axes, norm="forward")
-
-    def multiply(x, split_weight, fold_weight):
-        big = split(x, split_weight)
-        prod = np.fft.rfftn(
-            phi * np.fft.irfftn(big, s=shape, axes=axes, norm="forward"),
-            axes=axes, norm="forward")
-        return full_spectrum(fold_half(prod, m, n, fold_weight), n)
-
-    return LinOp(lambda x: multiply(x, 0.5, 1.0), lambda x: multiply(x, 1.0, 0.5))
+    eng = _FixedSidePara(g, coeffs, [(2 * g.n, None, None)])
+    return LinOp(eng.apply, eng.adjoint)
 
 
 def deriv_op(g: Grid, axis: int) -> LinOp:

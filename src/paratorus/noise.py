@@ -6,8 +6,9 @@ auxiliary pair (W, Z) solving the KPZ-type identity
 
     (1 - Delta) W - |grad W|^2 + grad W . grad V + xi + c = Z,
 
-the renormalization constant c, and the composite products
-Z~ = e^{V+2W} Z, rho e^{V+2W}, e^{V+2W} grad V . rho, e^{V+2W} grad W . rho.
+and the renormalization constant c.  The products with the exponentials
+that the operators need depend on the frequency cutoffs and are formed by
+`transforms`.
 
 Two constructions are provided: the 2d white-noise case, where
 W = -(1-Delta)^{-1} xi_eps makes the identity exact with
@@ -35,7 +36,6 @@ from .torus import (
     SpectralField,
     constant_field,
     div,
-    exp_field,
     field_from_coeffs,
     grad,
     l2_norm,
@@ -128,10 +128,6 @@ class EnhancedData:
     W: SpectralField
     Z: SpectralField
     c_eps: float
-    Z_tilde: SpectralField
-    rho_exp: tuple
-    sp_V: SpectralField
-    sp_W: SpectralField
     seed: int = 0
     kind: str = "custom"
     lam: float = 0.0
@@ -159,16 +155,10 @@ class EnhancedData:
                 + constant_field(g, self.c_eps) - self.Z)
         return l2_norm(expr)
 
-    def validate(self, tol_kpz: float = 1e-9, tol_div: float = 1e-10,
-                 tol_def: float = 1e-10) -> None:
+    def validate(self, tol_kpz: float = 1e-9, tol_div: float = 1e-10) -> None:
         div_norm = l2_norm(div(list(self.rho)))
         if div_norm > tol_div:
             raise DataError(f"drift is not divergence-free: |div rho| = {div_norm:.3e}")
-        zt = pointwise_product(exp_field(self.V + 2.0 * self.W), self.Z)
-        scale = max(1.0, l2_norm(zt))
-        defect = l2_norm(zt - self.Z_tilde)
-        if defect > tol_def * scale:
-            raise DataError(f"Z~ is inconsistent with e^(V+2W) Z: defect {defect:.3e}")
         res = self.kpz_residual()
         if res > tol_kpz:
             raise DataError(
@@ -241,11 +231,9 @@ def enhance_anderson2d(g: Grid, eps: float, seed: int,
     for comp in grad(W):
         grad_sq = grad_sq + pointwise_product(comp, comp)
     Z = constant_field(g, c) - grad_sq
-    Z_tilde = pointwise_product(exp_field(2.0 * W), Z)
     zerov = tuple(zero_field(g) for _ in range(g.d))
     data = EnhancedData(
         eps=eps, xi=xi, V=zero_field(g), rho=zerov, W=W, Z=Z, c_eps=c,
-        Z_tilde=Z_tilde, rho_exp=zerov, sp_V=zero_field(g), sp_W=zero_field(g),
         seed=seed, kind="anderson2d", lam=0.0,
     )
     data.validate(tol_kpz=tol_kpz)
@@ -310,18 +298,8 @@ def enhance_generic(spec: NoiseSpec, g: Grid, eps: float,
         lam_used = prob.lam
         Z = (1.0 - lam_used) * W
 
-    ev2w = exp_field(V + 2.0 * W)
-    Z_tilde = pointwise_product(ev2w, Z)
-    rho_exp = tuple(pointwise_product(ev2w, c) for c in rho)
-    gv, gw = grad(V), grad(W)
-    sp_V = zero_field(g)
-    sp_W = zero_field(g)
-    for l in range(g.d):
-        sp_V = sp_V + pointwise_product(pointwise_product(ev2w, gv[l]), rho[l])
-        sp_W = sp_W + pointwise_product(pointwise_product(ev2w, gw[l]), rho[l])
     data = EnhancedData(
-        eps=eps, xi=xi, V=V, rho=rho, W=W, Z=Z, c_eps=0.0, Z_tilde=Z_tilde,
-        rho_exp=rho_exp, sp_V=sp_V, sp_W=sp_W,
+        eps=eps, xi=xi, V=V, rho=rho, W=W, Z=Z, c_eps=0.0,
         seed=spec.seed, kind=spec.kind, lam=lam_used,
     )
     data.validate(tol_kpz=max(100.0 * tol, 1e-8))
@@ -333,15 +311,17 @@ def zero_data(g: Grid) -> EnhancedData:
     z = zero_field(g)
     zv = tuple(zero_field(g) for _ in range(g.d))
     return EnhancedData(
-        eps=1.0, xi=z, V=z, rho=zv, W=z, Z=z, c_eps=0.0, Z_tilde=z,
-        rho_exp=zv, sp_V=z, sp_W=z, seed=0, kind="zero", lam=1.0,
+        eps=1.0, xi=z, V=z, rho=zv, W=z, Z=z, c_eps=0.0, seed=0, kind="zero",
+        lam=1.0,
     )
 
 
 # ---------------------------------------------------------------------------
-# persistence: a directory of PCF1 files plus a key=value meta file
+# persistence: a directory of PCF1 files plus a key=value meta file.
+# Directories saved by earlier versions also hold Z_tilde, sp_V, sp_W and
+# rho_exp_<i> files, which are ignored.
 
-_FIELDS = ["xi", "V", "W", "Z", "Z_tilde", "sp_V", "sp_W"]
+_FIELDS = ["xi", "V", "W", "Z"]
 
 
 def save_enhanced(data: EnhancedData, directory) -> None:
@@ -351,8 +331,6 @@ def save_enhanced(data: EnhancedData, directory) -> None:
         write_pcf1(d / f"{name}.pcf", getattr(data, name))
     for i, comp in enumerate(data.rho):
         write_pcf1(d / f"rho_{i}.pcf", comp)
-    for i, comp in enumerate(data.rho_exp):
-        write_pcf1(d / f"rho_exp_{i}.pcf", comp)
     with open(d / "meta", "w") as fh:
         fh.write(f"eps={data.eps:.17g}\n")
         fh.write(f"c_eps={data.c_eps:.17g}\n")
@@ -363,8 +341,19 @@ def save_enhanced(data: EnhancedData, directory) -> None:
         fh.write(f"n={data.grid.n}\n")
 
 
+class _Meta(dict):
+    """The key=value entries of one meta file; a missing key is refused."""
+
+    def __init__(self, path):
+        super().__init__()
+        self.path = path
+
+    def __missing__(self, key):
+        raise ConfigurationError(f"{self.path}: no {key!r} entry")
+
+
 def read_meta(path) -> dict:
-    meta = {}
+    meta = _Meta(path)
     with open(path) as fh:
         for line in fh:
             line = line.strip()
@@ -380,9 +369,8 @@ def load_enhanced(directory) -> EnhancedData:
     dim = int(meta["d"])
     fields = {name: read_pcf1(d / f"{name}.pcf") for name in _FIELDS}
     rho = tuple(read_pcf1(d / f"rho_{i}.pcf") for i in range(dim))
-    rho_exp = tuple(read_pcf1(d / f"rho_exp_{i}.pcf") for i in range(dim))
     return EnhancedData(
         eps=float(meta["eps"]), c_eps=float(meta["c_eps"]),
         seed=int(meta["seed"]), kind=meta["kind"], lam=float(meta["lam"]),
-        rho=rho, rho_exp=rho_exp, **fields,
+        rho=rho, **fields,
     )

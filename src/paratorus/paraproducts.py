@@ -10,12 +10,15 @@ with S_{j-1} the zero operator for j - 1 < -1.  Every term is an exact
 (dealiased) product of band-limited functions, so the three pieces sum
 to the dealiased pointwise product for resolved inputs.
 
-Two evaluation paths are provided: a batch path on the doubled grid
-(used by `bony_decompose` and `para_apply`) and per-block small-grid
-operators with exact adjoints (`LowSidePara`, `HighSidePara`) used in
-the transform compositions, where the fixed factor's block data is
-cached and the blocks run real FFTs on half spectra.  Both compute the
-same exact convolutions.
+One engine, `_FixedSidePara`, evaluates every dealiased product of the
+package: a field with one factor fixed and cached is a sum of blocks,
+each the exact product of two filtered fields on the smallest grid that
+holds it alias-free, at most the doubled grid 2n.  The paraproducts
+(`LowSidePara`, `HighSidePara`), the resonant product (`ResonantPara`),
+`bony_decompose` and `linops.mult_field_op` (one unfiltered block on the
+doubled grid) are block lists for it.  The engine runs real FFTs on half
+spectra and has an exact adjoint.  It keeps its private name because
+benchmark tooling outside the package patches it by that name.
 """
 
 from __future__ import annotations
@@ -25,32 +28,14 @@ import numpy as np
 from .errors import ConfigurationError
 from .lp import BesovIndex, CheckReport, DyadicPartition, besov_norm, random_field_with_decay
 from .torus import (
+    Grid,
     SpectralField,
-    add_split_half,
-    embed_coeffs,
     field_from_coeffs,
-    fold_half,
     full_spectrum,
-    restrict_coeffs,
+    resample_half,
 )
 
 _WHICH = ("prec", "succ", "reso", "preceq", "succeq")
-
-
-def _fine_blocks(P: DyadicPartition, coeffs: np.ndarray):
-    """Physical values of all blocks and partial sums on the doubled grid."""
-    n, m = P.grid.n, 2 * P.grid.n
-    blocks = []
-    for j in range(-1, P.j_max + 1):
-        c = embed_coeffs(P.block_symbol(j) * coeffs, n, m)
-        blocks.append(np.fft.fftn(c))
-    sums = [np.zeros_like(blocks[0])]  # S_{-1} = 0; S_{-2} likewise
-    acc = np.zeros_like(blocks[0])
-    for b in blocks:
-        acc = acc + b
-        sums.append(acc.copy())
-    # sums[j + 1] = S_j on the fine grid, j = -1 .. j_max + 1
-    return blocks, sums
 
 
 def bony_decompose(
@@ -61,24 +46,10 @@ def bony_decompose(
         raise ConfigurationError("bony_decompose needs both fields on one grid")
     if P.grid != f.grid:
         raise ConfigurationError("partition was built on a different grid")
-    n, m = f.grid.n, 2 * f.grid.n
-    fb, fs = _fine_blocks(P, f.coeffs)
-    gb, gs = _fine_blocks(P, g.coeffs)
-    lo = np.zeros((m,) * f.grid.d, np.complex128)
-    hi = np.zeros_like(lo)
-    res = np.zeros_like(lo)
-    for j in range(-1, P.j_max + 1):
-        i = j + 1  # list index of block j
-        if i >= 1:  # S_{j-1} is the zero operator for j <= 0
-            lo += fs[i - 1] * gb[i]   # S_{j-1} f * Delta_j g
-            hi += fb[i] * gs[i - 1]
-        for i2 in (i - 1, i, i + 1):
-            if 0 <= i2 <= P.j_max + 1:
-                res += fb[i] * gb[i2]
-    out = []
-    for phys in (lo, res, hi):
-        out.append(field_from_coeffs(f.grid, restrict_coeffs(np.fft.ifftn(phys), m, n)))
-    return out[0], out[1], out[2]
+    lo = LowSidePara(P, f.coeffs).apply(g.coeffs)
+    res = ResonantPara(P, f.coeffs).apply(g.coeffs)
+    hi = LowSidePara(P, g.coeffs).apply(f.coeffs)
+    return tuple(field_from_coeffs(f.grid, c) for c in (lo, res, hi))
 
 
 def para_apply(
@@ -101,13 +72,7 @@ def para_apply(
 
 
 # ---------------------------------------------------------------------------
-# per-block small-grid paraproduct operators with exact adjoints
-
-def _small_sizes(P: DyadicPartition) -> dict[int, int]:
-    """Smallest dyadic grid hosting S_{j-1} f * Delta_j w alias-free."""
-    n = P.grid.n
-    return {j: min(n, 2 ** (j + 3)) for j in range(1, P.j_max + 1)}
-
+# the dealiased-product engine and its block lists
 
 def _on_block_grid(sym: np.ndarray, n: int, m: int) -> np.ndarray:
     """Half spectrum of a radial symbol on the m-lattice (m <= n)."""
@@ -117,52 +82,55 @@ def _on_block_grid(sym: np.ndarray, n: int, m: int) -> np.ndarray:
 
 
 class _FixedSidePara:
-    """w -> sum_j (fixed_j * filter_j w), products on per-block small grids.
+    """w -> sum over blocks of (a(D) fixed) * (b(D) w), each product exact
+    on its block's m-lattice; the adjoint is w -> sum b(D) ((a(D) fixed) * w),
+    the symbols being real.
 
-    `fixed_sym(j)` selects the cached factor's symbol, `moving_sym(j)` the
-    filter applied to the argument.  Adjoint: filter_j (fixed_j * w).
-    Blocks are evaluated with real FFTs on half spectra and summed into one
-    half spectrum; the symbols are radial, so they are applied on the block
-    grid, where the Nyquist pairs they multiply share one value.
+    `blocks` lists (m, a, b) with a and b radial symbols on the n-lattice,
+    or None for no filter.  A block with m <= n folds its inputs onto the
+    m-lattice and splits the product back; one with m > n splits its
+    inputs and folds the product.  The symbols act on the smaller of the
+    two lattices, where the Nyquist pairs they multiply share one value.
+    Every block adds into one half spectrum, completed to the full
+    Hermitian array once per call.
     """
 
-    def __init__(self, P: DyadicPartition, fixed_coeffs: np.ndarray,
-                 fixed_sym, moving_sym):
-        self.P = P
-        self.n = n = P.grid.n
-        self.axes = tuple(range(P.grid.d))
-        self.sizes = _small_sizes(P)
-        self.moving = {j: _on_block_grid(moving_sym(j), n, m)
-                       for j, m in self.sizes.items()}
-        self.cached = {}
-        for j, m in self.sizes.items():
-            c = _on_block_grid(fixed_sym(j), n, m) * fold_half(fixed_coeffs, n, m, 1.0)
-            self.cached[j] = np.fft.irfftn(c, s=(m,) * len(self.axes),
-                                           axes=self.axes, norm="forward")
+    def __init__(self, g: Grid, fixed_coeffs: np.ndarray, blocks):
+        self.n = n = g.n
+        self.axes = tuple(range(g.d))
+        self.blocks = []
+        for m, fixed_sym, moving_sym in blocks:
+            small = min(m, n)
+            a, b = (None if s is None else _on_block_grid(s, n, small)
+                    for s in (fixed_sym, moving_sym))
+            c = resample_half(fixed_coeffs, n, m, 0.5, 1.0, a)
+            cached = np.fft.irfftn(c, s=(m,) * g.d, axes=self.axes, norm="forward")
+            self.blocks.append((m, cached, b))
 
-    def _product(self, j: int, m: int, half: np.ndarray) -> np.ndarray:
-        """Half spectrum of the fixed factor times the field `half`, on the
-        m-lattice of block j."""
-        phys = np.fft.irfftn(half, s=(m,) * len(self.axes), axes=self.axes,
-                             norm="forward")
-        return np.fft.rfftn(self.cached[j] * phys, axes=self.axes, norm="forward")
+    def _product(self, m: int, cached: np.ndarray, half: np.ndarray) -> np.ndarray:
+        """Half spectrum of the cached factor times the field `half`, on
+        the m-lattice."""
+        # one expression, so that the inverse transform's output is freed
+        # before the forward transform allocates its own
+        return np.fft.rfftn(
+            cached * np.fft.irfftn(half, s=(m,) * len(self.axes), axes=self.axes,
+                                   norm="forward"),
+            axes=self.axes, norm="forward")
 
     def apply(self, coeffs: np.ndarray) -> np.ndarray:
-        n = self.n
-        out = np.zeros(coeffs.shape[:-1] + (n // 2 + 1,), np.complex128)
-        for j, m in self.sizes.items():
-            wj = self.moving[j] * fold_half(coeffs, n, m, 1.0)
-            add_split_half(out, self._product(j, m, wj), m, 0.5)
+        n, out = self.n, None
+        for m, cached, b in self.blocks:
+            wj = resample_half(coeffs, n, m, 0.5, 1.0, b)
+            out = resample_half(self._product(m, cached, wj), m, n, 0.5, 1.0, out=out)
         return full_spectrum(out, n)
 
     def adjoint(self, coeffs: np.ndarray) -> np.ndarray:
         # the real transforms' normalizations cancel around the real
         # physical factor, leaving the mirrored composition
-        n = self.n
-        out = np.zeros(coeffs.shape[:-1] + (n // 2 + 1,), np.complex128)
-        for j, m in self.sizes.items():
-            wj = fold_half(coeffs, n, m, 0.5)
-            add_split_half(out, self.moving[j] * self._product(j, m, wj), m, 1.0)
+        n, out = self.n, None
+        for m, cached, b in self.blocks:
+            wj = resample_half(coeffs, n, m, 1.0, 0.5)
+            out = resample_half(self._product(m, cached, wj), m, n, 1.0, 0.5, b, out)
         return full_spectrum(out, n)
 
 
@@ -170,22 +138,35 @@ class LowSidePara(_FixedSidePara):
     """w -> f prec w with the low-frequency factor f fixed and cached."""
 
     def __init__(self, P: DyadicPartition, f_coeffs: np.ndarray):
-        super().__init__(
-            P, f_coeffs,
-            fixed_sym=lambda j: P.partial_symbol(j - 1),
-            moving_sym=lambda j: P.block_symbol(j),
-        )
+        n = P.grid.n
+        super().__init__(P.grid, f_coeffs, [
+            (min(n, 2 ** (j + 3)), P.partial_symbol(j - 1), P.block_symbol(j))
+            for j in range(1, P.j_max + 1)
+        ])
 
 
 class HighSidePara(_FixedSidePara):
     """w -> w prec z with the high-frequency factor z fixed and cached."""
 
     def __init__(self, P: DyadicPartition, z_coeffs: np.ndarray):
-        super().__init__(
-            P, z_coeffs,
-            fixed_sym=lambda j: P.block_symbol(j),
-            moving_sym=lambda j: P.partial_symbol(j - 1),
-        )
+        n = P.grid.n
+        super().__init__(P.grid, z_coeffs, [
+            (min(n, 2 ** (j + 3)), P.block_symbol(j), P.partial_symbol(j - 1))
+            for j in range(1, P.j_max + 1)
+        ])
+
+
+class ResonantPara(_FixedSidePara):
+    """w -> f reso w with f fixed and cached; the top block's product
+    reaches past the n-lattice band, so it runs on the doubled grid."""
+
+    def __init__(self, P: DyadicPartition, f_coeffs: np.ndarray):
+        n, J = P.grid.n, P.j_max
+        super().__init__(P.grid, f_coeffs, [
+            (min(2 * n, 2 ** (j + 4)), P.block_symbol(j),
+             sum(P.block_symbol(i) for i in (j - 1, j, j + 1) if -1 <= i <= J))
+            for j in range(-1, J + 1)
+        ])
 
 
 # ---------------------------------------------------------------------------

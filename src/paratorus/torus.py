@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, FieldRangeError, MultiplierError
+from .errors import ConfigurationError, DataError, FieldRangeError, MultiplierError
 
 HERMITIAN_RESIDUE_TOL = 1e-13
 EXP_OVERFLOW_LIMIT = 700.0
@@ -389,6 +389,34 @@ def fold_half(arr: np.ndarray, n_src: int, n_dst: int,
     return out
 
 
+def resample_half(arr: np.ndarray, n_src: int, n_dst: int, split_weight: float,
+                  fold_weight: float, sym: np.ndarray | None = None,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Half spectrum on the n_dst lattice of fold_lattice(full, n_src, n_dst,
+    fold_weight) if n_dst <= n_src, else of split_lattice(full, n_src, n_dst,
+    split_weight); `arr` is the half spectrum of `full`, or `full` itself.
+
+    `sym`, a half spectrum on the smaller of the two lattices, multiplies
+    there: after a fold, before a split.  With `out` given, the result is
+    added into it and `out` is returned.  Without `out`, n_dst == n_src
+    returns a view of `arr` unless `sym` is given."""
+    if n_dst <= n_src:
+        res = fold_half(arr, n_src, n_dst, fold_weight)
+        if sym is not None:
+            res = sym * res
+        if out is None:
+            return res
+        out += res
+        return out
+    src = arr[..., : n_src // 2 + 1]
+    if sym is not None:
+        src = sym * src
+    if out is None:
+        out = np.zeros((n_dst,) * (arr.ndim - 1) + (n_dst // 2 + 1,), np.complex128)
+    add_split_half(out, src, n_src, split_weight)
+    return out
+
+
 def _negate(arr: np.ndarray) -> np.ndarray:
     """arr at index -k (mod the axis length) along every axis."""
     for axis in range(arr.ndim):
@@ -475,14 +503,26 @@ def write_pcf1(path, f: SpectralField) -> None:
 
 
 def read_pcf1(path) -> SpectralField:
+    """Read a field written by write_pcf1.  A malformed header raises
+    ConfigurationError; a body of the wrong length or with non-finite
+    coefficients raises DataError.  Both name the file."""
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").strip()
-        parts = header.split()
-        if len(parts) != 3 or parts[0] != "PCF1":
-            raise ConfigurationError(f"not a PCF1 file: header {header!r}")
-        d = int(parts[1].split("=")[1])
-        n = int(parts[2].split("=")[1])
-        g = grid(d, n)
-        data = fh.read(16 * g.size)
-        coeffs = np.frombuffer(data, dtype="<c16").reshape(g.shape)
-        return SpectralField(g, np.ascontiguousarray(coeffs.astype(np.complex128)))
+        header = fh.readline()
+        try:
+            tag, d, n = header.decode("ascii").split()
+            if tag != "PCF1" or d[:2] != "d=" or n[:2] != "n=":
+                raise ValueError
+            g = grid(int(d[2:]), int(n[2:]))
+        except (ValueError, ConfigurationError):  # UnicodeDecodeError included
+            raise ConfigurationError(
+                f"{path}: not a PCF1 header: {header[:80]!r}") from None
+        size = 16 * g.size
+        data = fh.read(size + 1)
+    if len(data) < size:
+        raise DataError(f"{path}: truncated body, {len(data)} of {size} bytes for {g}")
+    if len(data) > size:
+        raise DataError(f"{path}: trailing bytes after the {size}-byte body for {g}")
+    coeffs = np.frombuffer(data, dtype="<c16").reshape(g.shape)
+    if not np.all(np.isfinite(coeffs)):
+        raise DataError(f"{path}: non-finite coefficients")
+    return SpectralField(g, np.ascontiguousarray(coeffs.astype(np.complex128)))

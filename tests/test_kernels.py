@@ -1,9 +1,10 @@
-"""The real-FFT operator kernels against complex-FFT references.
+"""The real-FFT product engine against complex-FFT references.
 
-`mult_field_op` and the per-block paraproducts transform half spectra
-with real FFTs.  The references below evaluate the same maps on the full
-spectrum with complex FFTs; on Hermitian inputs (real fields), including
-non-zero Nyquist entries, both must agree to round-off.
+`mult_field_op`, the per-block paraproducts and `bony_decompose` all run
+on one engine that transforms half spectra with real FFTs.  The
+references below evaluate the same maps on the full spectrum with
+complex FFTs; on Hermitian inputs (real fields), including non-zero
+Nyquist entries, both must agree to round-off.
 """
 
 from functools import lru_cache
@@ -13,14 +14,16 @@ from hypothesis import given, settings, strategies as st
 
 from paratorus.linops import mult_field_op, random_hermitian
 from paratorus.lp import build_partition
-from paratorus.paraproducts import HighSidePara, LowSidePara
+from paratorus.paraproducts import HighSidePara, LowSidePara, bony_decompose
 from paratorus.torus import (
     add_split_half,
     embed_coeffs,
     fold_half,
     fold_lattice,
+    field_from_coeffs,
     full_spectrum,
     grid,
+    restrict_coeffs,
     split_lattice,
 )
 
@@ -67,6 +70,23 @@ def ref_para(P, fixed, x, fixed_sym, moving_sym, adjoint):
     return out
 
 
+def ref_bony(P, f, g):
+    """(f prec g, f reso g, f succ g), every block product on the doubled grid."""
+    n, m, J = P.grid.n, 2 * P.grid.n, P.j_max
+
+    def phys(sym, c):
+        return np.fft.fftn(embed_coeffs(sym * c, n, m))
+
+    lo = res = hi = np.zeros((m,) * P.grid.d, np.complex128)
+    for j in range(-1, J + 1):
+        if j >= 1:
+            lo = lo + phys(P.partial_symbol(j - 1), f) * phys(P.block_symbol(j), g)
+            hi = hi + phys(P.block_symbol(j), f) * phys(P.partial_symbol(j - 1), g)
+        for i in range(max(-1, j - 1), min(J, j + 1) + 1):
+            res = res + phys(P.block_symbol(j), f) * phys(P.block_symbol(i), g)
+    return [restrict_coeffs(np.fft.ifftn(p), m, n) for p in (lo, res, hi)]
+
+
 def assert_close(got, ref):
     assert np.max(np.abs(got - ref)) <= REL_TOL * np.max(np.abs(ref))
 
@@ -105,6 +125,19 @@ def test_paraproducts_match_complex_reference(dn, side, seed):
     assert_close(engine.apply(x), ref_para(P, fixed, x, *syms, adjoint=False))
     assert_close(engine.adjoint(x), ref_para(P, fixed, x, *syms, adjoint=True))
     assert_adjoint(engine.apply, engine.adjoint, x, y)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(PARTITION_GRIDS), seeds)
+def test_bony_decompose_matches_complex_reference(dn, seed):
+    # full-band inputs reach the top block, whose resonant products run on
+    # the doubled grid
+    P = partition(*dn)
+    rng = np.random.default_rng(seed)
+    f, g = (hermitian_with_nyquist(P.grid, rng) for _ in range(2))
+    got = bony_decompose(field_from_coeffs(P.grid, f), field_from_coeffs(P.grid, g), P)
+    for part, ref in zip(got, ref_bony(P, f, g)):
+        assert_close(part.coeffs, ref)
 
 
 @settings(max_examples=30, deadline=None)

@@ -173,7 +173,6 @@ class TestAnderson2d:
         b = enhance_anderson2d(grid(2, 32), 2.0**-3, seed=9)
         assert np.array_equal(a.W.coeffs, b.W.coeffs)
         assert a.c_eps == b.c_eps
-        assert np.array_equal(a.Z_tilde.coeffs, b.Z_tilde.coeffs)
 
     def test_renormalized_proxy_stabilizes(self):
         # successive-halving growth ratios of the negative-regularity proxy
@@ -213,7 +212,7 @@ class TestGeneric:
         g = grid(2, 32)
         spec = NoiseSpec("smooth_manufactured", seed=0, amplitude=0.0)
         data = enhance_generic(spec, g, 2.0**-3)
-        for f in (data.W, data.Z, data.Z_tilde, data.xi, data.V):
+        for f in (data.W, data.Z, data.xi, data.V):
             assert l2_norm(f) == 0.0
         assert data.c_eps == 0.0
 
@@ -270,8 +269,15 @@ class TestPersistence:
         assert back.c_eps == data.c_eps
         assert back.kind == data.kind
         assert np.array_equal(back.W.coeffs, data.W.coeffs)
-        assert np.array_equal(back.Z_tilde.coeffs, data.Z_tilde.coeffs)
         back.validate()
+
+    def test_missing_meta_key_named(self, tmp_path):
+        save_enhanced(zero_data(grid(2, 32)), tmp_path / "tuple")
+        meta = tmp_path / "tuple" / "meta"
+        meta.write_text("".join(line for line in meta.read_text().splitlines(True)
+                                if not line.startswith("lam=")))
+        with pytest.raises(ConfigurationError, match="'lam'"):
+            load_enhanced(tmp_path / "tuple")
 
     def test_zero_data_tuple(self):
         data = zero_data(grid(2, 32))

@@ -2,11 +2,13 @@
 pyproject.toml imports and every console script names a real callable."""
 
 import importlib
+import importlib.util
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 tomllib = pytest.importorskip("tomllib")
@@ -55,3 +57,26 @@ def test_operators_import_without_scipy():
     out = subprocess.run([sys.executable, "-c", code, str(ROOT / "src")],
                          capture_output=True, text=True, check=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+def test_benchmark_tracer_installs_against_the_package():
+    # the benchmark's traced run patches paratorus entry points by name;
+    # a renamed entry point must fail here, not only in a traced run
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    from paratorus import linops, paraproducts, torus
+
+    original = paraproducts._FixedSidePara.apply
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        g = torus.grid(2, 16)
+        x = linops.random_hermitian(g, np.random.default_rng(0))
+        linops.mult_field_op(g, x).apply(x)
+    finally:
+        tracer.uninstall()
+    assert paraproducts._FixedSidePara.apply is original
+    assert tracer.counters["linops.mult_field.calls"] == 1
+    assert tracer.counters["paraproducts.apply.calls"] == 1

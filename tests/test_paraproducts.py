@@ -7,6 +7,7 @@ from paratorus.lp import build_partition, random_field_with_decay
 from paratorus.paraproducts import (
     HighSidePara,
     LowSidePara,
+    ResonantPara,
     bony_decompose,
     check_para_estimates,
     para_apply,
@@ -157,21 +158,7 @@ class TestParaApply:
 
 
 class TestFixedSideEngines:
-    def test_low_side_matches_batch(self, P):
-        f, w = bandlimited_pair(P, 9)
-        engine = LowSidePara(P, f.coeffs)
-        fast = engine.apply(w.coeffs)
-        ref = para_apply(f, w, "prec", P)
-        assert np.max(np.abs(fast - ref.coeffs)) <= 1e-12 * np.max(np.abs(ref.coeffs))
-
-    def test_high_side_matches_batch(self, P):
-        z, w = bandlimited_pair(P, 10)
-        engine = HighSidePara(P, z.coeffs)
-        fast = engine.apply(w.coeffs)
-        ref = para_apply(w, z, "prec", P)
-        assert np.max(np.abs(fast - ref.coeffs)) <= 1e-12 * np.max(np.abs(ref.coeffs))
-
-    @pytest.mark.parametrize("engine_cls", [LowSidePara, HighSidePara])
+    @pytest.mark.parametrize("engine_cls", [LowSidePara, HighSidePara, ResonantPara])
     def test_adjoint_pairing(self, P, engine_cls):
         g = P.grid
         rng = np.random.default_rng(11)

@@ -4,6 +4,7 @@ import pytest
 from paratorus import torus
 from paratorus.errors import (
     ConfigurationError,
+    DataError,
     FieldRangeError,
     MultiplierError,
 )
@@ -351,3 +352,30 @@ class TestPCF1:
         write_pcf1(tmp_path / "f.pcf", zero_field(g))
         with open(tmp_path / "f.pcf", "rb") as fh:
             assert fh.readline() == b"PCF1 d=2 n=16\n"
+
+
+def _pcf1_bytes(header: bytes, coeffs: np.ndarray) -> bytes:
+    return header + np.ascontiguousarray(coeffs, dtype="<c16").tobytes()
+
+
+_BODY = np.zeros((16, 16), np.complex128)
+_NAN_BODY = _BODY.copy()
+_NAN_BODY[3, 5] = np.nan
+MALFORMED_PCF1 = {
+    "truncated_body": (_pcf1_bytes(b"PCF1 d=2 n=16\n", _BODY)[:-5], DataError),
+    "bad_dimension": (_pcf1_bytes(b"PCF1 d=x n=16\n", _BODY), ConfigurationError),
+    "non_ascii_header": (_pcf1_bytes("PCF1 d=2 n=16 \u00e9\n".encode(), _BODY),
+                         ConfigurationError),
+    "trailing_bytes": (_pcf1_bytes(b"PCF1 d=2 n=16\n", _BODY) + b"\0", DataError),
+    "nan_coefficient": (_pcf1_bytes(b"PCF1 d=2 n=16\n", _NAN_BODY), DataError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PCF1))
+def test_read_pcf1_refuses_malformed_file(tmp_path, case):
+    content, error = MALFORMED_PCF1[case]
+    path = tmp_path / f"{case}.pcf"
+    path.write_bytes(content)
+    with pytest.raises(error) as info:
+        read_pcf1(path)
+    assert str(path) in str(info.value)
