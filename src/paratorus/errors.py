@@ -48,7 +48,7 @@ class DataError(ParatorusError):
 
 
 class EigenSolverError(ParatorusError):
-    """Subspace iteration did not reach the residual tolerance."""
+    """The eigensolver did not reach the residual tolerance."""
 
 
 # Numerical refusals exit with distinct codes in 10-19; usage and

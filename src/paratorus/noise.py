@@ -351,8 +351,17 @@ class _Meta(dict):
     def __missing__(self, key):
         raise ConfigurationError(f"{self.path}: no {key!r} entry")
 
+    def parsed(self, key, parse=float):
+        """The entry `key` read by `parse` (int, float, ...); a value that
+        `parse` refuses is refused naming the file and the key."""
+        try:
+            return parse(self[key])
+        except ValueError:
+            raise ConfigurationError(
+                f"{self.path}: malformed {key!r} entry {self[key]!r}") from None
 
-def read_meta(path) -> dict:
+
+def read_meta(path) -> _Meta:
     meta = _Meta(path)
     with open(path) as fh:
         for line in fh:
@@ -366,11 +375,11 @@ def read_meta(path) -> dict:
 def load_enhanced(directory) -> EnhancedData:
     d = Path(directory)
     meta = read_meta(d / "meta")
-    dim = int(meta["d"])
+    dim = meta.parsed("d", int)
     fields = {name: read_pcf1(d / f"{name}.pcf") for name in _FIELDS}
     rho = tuple(read_pcf1(d / f"rho_{i}.pcf") for i in range(dim))
     return EnhancedData(
-        eps=float(meta["eps"]), c_eps=float(meta["c_eps"]),
-        seed=int(meta["seed"]), kind=meta["kind"], lam=float(meta["lam"]),
+        eps=meta.parsed("eps"), c_eps=meta.parsed("c_eps"),
+        seed=meta.parsed("seed", int), kind=meta["kind"], lam=meta.parsed("lam"),
         rho=rho, **fields,
     )

@@ -387,10 +387,12 @@ def load_stack(directory) -> TransformStack:
     meta = read_meta(d / "stack_meta")
     data = load_enhanced(d / "data")
     partition = DyadicPartition(data.grid)
-    sigma_list = tuple(float(s) for s in meta["sigma_list"].split(","))
+    sigma_list = meta.parsed("sigma_list",
+                             lambda v: tuple(float(s) for s in v.split(",")))
     stack = build_stack(
-        data, partition, int(meta["M"]), int(meta["N"]), sigma_list,
-        int(meta["probe_seed"]), int(meta["power_iters"]), int(meta["restarts"]),
+        data, partition, meta.parsed("M", int), meta.parsed("N", int), sigma_list,
+        meta.parsed("probe_seed", int), meta.parsed("power_iters", int),
+        meta.parsed("restarts", int),
     )
     return stack
 
@@ -412,7 +414,7 @@ def verify_stack(directory) -> dict:
         )
     stack = load_stack(d)
     recomputed = _certificates(stack)
-    stored = {key: float(meta[key]) for key in recomputed}
+    stored = {key: meta.parsed(key) for key in recomputed}
     for key, value in stored.items():
         if recomputed[key] != value:
             raise CertificateError(

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from paratorus.errors import ShiftTooSmallError
+from paratorus import operators
+from paratorus.errors import EigenSolverError, ShiftTooSmallError
 from paratorus.lp import build_partition, random_field_with_decay
 from paratorus.noise import (
     NoiseSpec,
@@ -25,6 +28,7 @@ from paratorus.operators import (
 from paratorus.torus import (
     constant_field,
     field_from_coeffs,
+    grad,
     grid,
     l2_norm,
     sobolev_norm,
@@ -168,6 +172,31 @@ class TestResolvent:
             assert rel <= 1e-10
             assert abs(res.residual - rel) <= 1e-3 * rel
 
+    def test_solve_restarts_on_the_true_residual(self, monkeypatch):
+        g = grid(2, 32)
+        data = enhance_anderson2d(g, 2.0**-3, seed=2)
+        f = probe(g, 7)
+        rop = ResolventOperator(data, 10.0)
+        calls = []
+        exact_pcg = operators._pcg
+
+        def early_pcg(apply_s, precond, b, tol, max_iter):
+            calls.append(tol)
+            return exact_pcg(apply_s, precond, b, 1e4 * tol, max_iter)
+
+        monkeypatch.setattr(operators, "_pcg", early_pcg)
+        res = rop.solve(f)
+        back = AOperator(data).apply(res.u) + 10.0 * res.u
+        assert len(calls) > 1
+        assert l2_norm(back - f) <= 1e-10 * l2_norm(f)
+        assert res.residual <= 1e-10
+
+        monkeypatch.setattr(operators, "_pcg",
+                            lambda apply_s, precond, b, tol, max_iter:
+                            (np.zeros_like(b), 0.0, 1))
+        with pytest.raises(ShiftTooSmallError, match="true relative residual"):
+            rop.solve(f)
+
     def test_shift_too_small(self):
         g = grid(2, 32)
         data = zero_data(g)
@@ -216,6 +245,72 @@ class TestSpectrum:
                                g, 2.0**-3)
         with pytest.warns(RuntimeWarning, match="symmetrized"):
             spectrum(data, lam0=40.0, k_eigs=2, seed=3, max_sweeps=30)
+
+
+def dense_matrix(data):
+    """A on real fields of the grid as a dense matrix (n^d x n^d)."""
+    g = data.grid
+    a_op = AOperator(data)
+    dense = np.zeros((g.size, g.size))
+    for j in range(g.size):
+        e = np.zeros(g.shape)
+        e.flat[j] = 1.0
+        dense[:, j] = to_physical(a_op.apply(to_spectral(e, g))).ravel()
+    return dense
+
+
+class TestBlockKrylovSpectrum:
+    def test_restarted_basis_matches_dense_oracle(self, monkeypatch):
+        g = grid(2, 16)
+        rng = np.random.default_rng(11)
+        pot = random_field_with_decay(g, 2.0, rng, kmax=4.0)
+        data = dataclasses.replace(zero_data(g), xi=pot * (3.0 / l2_norm(pot)))
+        dense = dense_matrix(data)
+        exact = np.sort(np.linalg.eigvalsh(0.5 * (dense + dense.T)))[:5]
+        solves = []
+        original = ResolventOperator.solve_coeffs
+        monkeypatch.setattr(ResolventOperator, "solve_coeffs",
+                            lambda self, b: solves.append(1) or original(self, b))
+        eigs = spectrum(data, lam0=10.0, k_eigs=5, seed=4, tol=1e-9, buffer=1)
+        # more block steps than the basis holds: it was restarted
+        assert len(solves) > operators._BASIS_BLOCKS * (5 + 1)
+        assert np.max(np.abs(eigs - exact)) <= 1e-8
+
+    def test_max_sweeps_exhausted(self):
+        g = grid(2, 32)
+        data = enhance_anderson2d(g, 2.0**-3, seed=3)
+        with pytest.raises(EigenSolverError, match="1 block steps"):
+            spectrum(data, lam0=10.0, k_eigs=3, seed=2, max_sweeps=1)
+
+    def test_study_control_is_the_shifted_eigenvalue(self):
+        cfg = StudyConfig(
+            n=32, eps_list=(2.0**-3, 2.0**-4), seed=2, k_eigs=2,
+            power_iters_res=2, power_iters_fac=2, power_iters_cert=4,
+            equivalence_trials=2,
+        )
+        result = convergence_study(cfg)
+        for row, eps in zip(result.rows, cfg.eps_list):
+            data = enhance_anderson2d(grid(2, 32), eps, cfg.seed)
+            assert data.c_eps > 0.0
+            control = spectrum(data.without_renormalization(), result.lam0, 1,
+                               seed=cfg.seed * 13 + 3, tol=cfg.eig_tol)
+            assert row["lambda1_control"] == pytest.approx(control[0], abs=1e-9)
+
+    def test_nonsymmetric_matches_dense_symmetrized_resolvent(self):
+        g = grid(2, 16)
+        x, y = g.meshgrid()
+        psi = to_spectral(0.4 * np.sin(2 * np.pi * (x + 2 * y))
+                          + 0.3 * np.cos(2 * np.pi * (3 * x - y)), g)
+        dpsi = grad(psi)
+        data = dataclasses.replace(zero_data(g), rho=(dpsi[1], -1.0 * dpsi[0]))
+        assert not data.is_symmetric()
+        lam0 = 10.0
+        resolvent_dense = np.linalg.inv(lam0 * np.eye(g.size) + dense_matrix(data))
+        mu = np.linalg.eigvalsh(0.5 * (resolvent_dense + resolvent_dense.T))
+        exact = np.sort(1.0 / mu[::-1][:3] - lam0)
+        with pytest.warns(RuntimeWarning, match="symmetrized"):
+            eigs = spectrum(data, lam0=lam0, k_eigs=3, seed=5)
+        assert np.all(np.abs(eigs - exact) <= 1e-5 * (lam0 + exact))
 
 
 class TestEquivalence:

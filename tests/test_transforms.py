@@ -227,6 +227,21 @@ class TestPersistence:
                            match=f"no kernel stamp.*{KERNEL_VERSION}"):
             verify_stack(tmp_path / "stack")
 
+    @pytest.mark.parametrize("path, key", [
+        ("stack_meta", "M"),
+        ("stack_meta", "cert_phi"),
+        ("stack_meta", "power_iters"),
+        ("data/meta", "eps"),
+    ])
+    def test_malformed_meta_value_named(self, zero_stack, tmp_path, path, key):
+        save_stack(zero_stack, tmp_path / "stack")
+        meta = tmp_path / "stack" / path
+        lines = meta.read_text().splitlines(keepends=True)
+        meta.write_text("".join(f"{key}=abc\n" if l.startswith(f"{key}=") else l
+                                for l in lines))
+        with pytest.raises(ConfigurationError, match=f"{path}: malformed '{key}' entry 'abc'"):
+            verify_stack(tmp_path / "stack")
+
 
 class TestArgumentValidation:
     def test_bad_selector(self, zero_stack):
