@@ -504,8 +504,11 @@ def write_pcf1(path, f: SpectralField) -> None:
 
 def read_pcf1(path) -> SpectralField:
     """Read a field written by write_pcf1.  A malformed header raises
-    ConfigurationError; a body of the wrong length or with non-finite
-    coefficients raises DataError.  Both name the file."""
+    ConfigurationError; a body of the wrong length, with non-finite
+    coefficients or with coefficients that are not exactly Hermitian (the
+    coefficients of a real field) raises DataError.  Both name the file.
+    Every field the package writes is exactly Hermitian, so the check is
+    exact."""
     with open(path, "rb") as fh:
         header = fh.readline()
         try:
@@ -525,4 +528,7 @@ def read_pcf1(path) -> SpectralField:
     coeffs = np.frombuffer(data, dtype="<c16").reshape(g.shape)
     if not np.all(np.isfinite(coeffs)):
         raise DataError(f"{path}: non-finite coefficients")
+    if not np.array_equal(coeffs, np.conj(coeffs[g._rev_ix])):
+        raise DataError(f"{path}: coefficients are not Hermitian, so they are "
+                        f"not those of a real field")
     return SpectralField(g, np.ascontiguousarray(coeffs.astype(np.complex128)))

@@ -9,18 +9,28 @@ build_stack assembles, as named operator fields of one TransformStack,
     lambda_bar  w = (1-Delta)w + (e^{P>M(-W-V)} - 1) prec (1-Delta)w
     upsilon, upsilon_bar  with  Lambda = (1-Delta) Upsilon  exactly,
     upsilon_inv, upsilon_bar_inv
-    phi         w = w - Lambda^{-1} P_{>N} ( w prec Z~^M
-                      + div(grad w prec (e^{P>M(V+2W)} - 1))
-                      + e^{P>M(V+W)} div(rho e^{P>M W} w) )
-    gamma       = Phi^{-1}  (geometric series)
-    theta       = e^{P>M W} . Gamma . Upsilon^{-1} . UpsilonBar^{-1}
-    theta_inv   = UpsilonBar . Upsilon . Phi . e^{-P>M W}
+    phi         w = (1-Delta)^{-1} ( Lambda w - P_{>N} G w ) = w - K w - R w,
+                G w = w prec Z~^M + div(grad w prec (e^{P>M(V+2W)} - 1))
+                      + e^{P>M(V+W)} div(rho e^{P>M W} w)
+    gamma       = Phi^{-1} = sum_m (K + R)^m  (one geometric series)
+    theta       = e^{P>M W} . Gamma . UpsilonBar^{-1}
+    theta_inv   = UpsilonBar . Phi . e^{-P>M W}
 
 from the five cached exponentials e_pw = e^{P>M W}, e_pw_inv, e_pwv =
 e^{P>M(V+W)}, e_pwv_inv and e_pv2w = e^{P>M(V+2W)}, which save_stack
 persists and verify_stack compares bit for bit.  save_stack also stamps
-the version of the operator kernels, and verify_stack refuses a stack
-saved under other kernels.
+the version of the operator kernels and of the stack's composition, and
+verify_stack refuses a stack saved under another version.
+
+Here Upsilon = I - K and R = (1-Delta)^{-1} P_{>N} G.  The paracontrolled
+correction proper is I - Upsilon^{-1} R; inverting it as a series would
+run a whole Upsilon^{-1} series inside each of its terms.  Phi is that
+correction premultiplied by Upsilon, since Upsilon (I - Upsilon^{-1} R)
+= I - K - R, so Theta = e^{P>M W} (I - Upsilon^{-1} R)^{-1} Upsilon^{-1}
+UpsilonBar^{-1} is unchanged while its inverse runs one series in K + R
+and Theta^{-1} runs none.  cert_phi is the measured norm
+|K + R|_{H^1 -> H^1} <= 1/2: it certifies exactly the series Theta runs,
+and measuring it runs no series at all.
 
 The modified potential Z~^M is the exact zeroth-order coefficient of the
 conjugated operator (see operators.apply_A_tilde), so the paracontrolled
@@ -191,7 +201,7 @@ def build_stack(
     upsilon_bar_inv = neumann_inverse_op(Kbar, g, s=1.0, tol=NEUMANN_TOL,
                                          max_terms=NEUMANN_MAX_TERMS)
 
-    # Phi = I - Lambda^{-1} P_{>N} G
+    # Phi = I - K - R with R = (1-Delta)^{-1} P_{>N} G
     high_zm = para_high_op(partition, Z_tilde_M.coeffs)
     high_e2 = para_high_op(partition, E2.coeffs)
     grad_para = add(*[
@@ -207,15 +217,16 @@ def build_stack(
         ])
         g_parts.append(compose(m_pwv, rho_div))
     proj_n = multiplier_op(np.where(g.kabs > 2.0**N, 1.0, 0.0))
-    phi_step = compose(upsilon_inv, lap1_inv, proj_n, add(*g_parts))
+    R = compose(lap1_inv, proj_n, add(*g_parts))
+    phi_step = add(K, R)
     phi = subtract(identity_op(), phi_step)
     gamma = neumann_inverse_op(phi_step, g, s=1.0, tol=NEUMANN_TOL,
                                max_terms=NEUMANN_MAX_TERMS)
 
     m_epw = mult_field_op(g, e_pw.coeffs)
     m_epw_inv = mult_field_op(g, e_pw_inv.coeffs)
-    theta = compose(m_epw, gamma, upsilon_inv, upsilon_bar_inv)
-    theta_inv = compose(upsilon_bar, upsilon, phi, m_epw_inv)
+    theta = compose(m_epw, gamma, upsilon_bar_inv)
+    theta_inv = compose(upsilon_bar, phi, m_epw_inv)
 
     kmax = 2.0**partition.j_max
     cert_upsilon = {
@@ -258,7 +269,8 @@ def choose_cutoffs(
     restarts: int = 2,
 ) -> TransformStack:
     """Smallest M with both exponential certificates <= 1/4, then the
-    smallest N with the measured paracontrolled-correction norm <= 1/2.
+    smallest N with cert_phi, the measured norm |K + R|_{H^1 -> H^1} of
+    the one series behind Gamma and Theta, <= 1/2.
     Both searches are capped at the partition's top block index; hitting
     the cap is a refusal, not a silent degradation."""
     cap = partition.j_max
@@ -349,10 +361,12 @@ def assemble_theta(stack: TransformStack) -> Theta:
 
 _EXP_NAMES = ("e_pw", "e_pw_inv", "e_pwv", "e_pwv_inv", "e_pv2w")
 # The arithmetic of the operator kernels (linops.mult_field_op and the
-# per-block paraproducts): a saved stack re-verifies bit for bit only
-# under the kernels that certified it.  Stacks saved before the stamp
-# was written used complex FFTs.
-KERNEL_VERSION = "r2c-1"
+# per-block paraproducts) and the composition of the stack from them: a
+# saved stack re-verifies bit for bit only under the kernels and the
+# composition that certified it.  Stacks saved before the stamp was
+# written used complex FFTs; r2c-1 stacks certified the nested
+# Phi = I - Upsilon^{-1} R, whose cert_phi has another meaning.
+KERNEL_VERSION = "r2c-2"
 
 
 def _certificates(stack: TransformStack) -> dict[str, float]:
@@ -402,15 +416,16 @@ def verify_stack(directory) -> dict:
 
     Returns the comparison table; raises CertificateError on any mismatch
     or if a certificate is out of bounds, and ConfigurationError if the
-    stack was saved under other operator kernels."""
+    stack was saved under other operator kernels or another composition."""
     d = Path(directory)
     meta = read_meta(d / "stack_meta")
     kernel = meta.get("kernel", "c2c (no kernel stamp)")
     if kernel != KERNEL_VERSION:
         raise ConfigurationError(
             f"stack saved with operator kernel {kernel}, but this build "
-            f"computes with kernel {KERNEL_VERSION}; its certificates cannot "
-            f"be re-verified bit for bit, so build and save it again"
+            f"computes with kernel {KERNEL_VERSION}; the operator kernels or "
+            f"the composition of the stack differ, so its certificates cannot "
+            f"be re-verified bit for bit: build and save it again"
         )
     stack = load_stack(d)
     recomputed = _certificates(stack)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paratorus import torus
 from paratorus.errors import (
@@ -361,6 +362,10 @@ def _pcf1_bytes(header: bytes, coeffs: np.ndarray) -> bytes:
 _BODY = np.zeros((16, 16), np.complex128)
 _NAN_BODY = _BODY.copy()
 _NAN_BODY[3, 5] = np.nan
+_UNPAIRED_BODY = _BODY.copy()
+_UNPAIRED_BODY[3, 5] = 1.0  # its mirror (13, 11) stays 0
+_COMPLEX_MEAN_BODY = _BODY.copy()
+_COMPLEX_MEAN_BODY[0, 0] = 1.0 + 0.5j  # k = 0 is its own mirror
 MALFORMED_PCF1 = {
     "truncated_body": (_pcf1_bytes(b"PCF1 d=2 n=16\n", _BODY)[:-5], DataError),
     "bad_dimension": (_pcf1_bytes(b"PCF1 d=x n=16\n", _BODY), ConfigurationError),
@@ -368,6 +373,8 @@ MALFORMED_PCF1 = {
                          ConfigurationError),
     "trailing_bytes": (_pcf1_bytes(b"PCF1 d=2 n=16\n", _BODY) + b"\0", DataError),
     "nan_coefficient": (_pcf1_bytes(b"PCF1 d=2 n=16\n", _NAN_BODY), DataError),
+    "non_hermitian": (_pcf1_bytes(b"PCF1 d=2 n=16\n", _UNPAIRED_BODY), DataError),
+    "complex_mean": (_pcf1_bytes(b"PCF1 d=2 n=16\n", _COMPLEX_MEAN_BODY), DataError),
 }
 
 
@@ -379,3 +386,25 @@ def test_read_pcf1_refuses_malformed_file(tmp_path, case):
     with pytest.raises(error) as info:
         read_pcf1(path)
     assert str(path) in str(info.value)
+
+
+_VALID_PCF1 = _pcf1_bytes(b"PCF1 d=2 n=8\n", to_spectral(
+    np.random.default_rng(3).standard_normal((8, 8)), grid(2, 8)).coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(position=st.integers(0, len(_VALID_PCF1) - 1), mask=st.integers(1, 255))
+def test_read_pcf1_with_one_flipped_byte(tmp_path_factory, position, mask):
+    raw = bytearray(_VALID_PCF1)
+    raw[position] ^= mask
+    path = tmp_path_factory.getbasetemp() / "flipped.pcf"
+    path.write_bytes(bytes(raw))
+    try:
+        f = read_pcf1(path)
+    except (DataError, ConfigurationError) as err:
+        assert str(path) in str(err)
+        return
+    c = f.coeffs
+    mirror = np.roll(np.flip(c), 1, axis=tuple(range(c.ndim)))
+    assert np.all(np.isfinite(c))
+    assert np.array_equal(c, np.conj(mirror))

@@ -4,9 +4,17 @@ import numpy as np
 import pytest
 
 from paratorus.errors import ConfigurationError
-from paratorus.linops import operator_norm
+from paratorus.linops import (
+    coeff_norm,
+    compose,
+    identity_op,
+    mult_field_op,
+    neumann_inverse_op,
+    operator_norm,
+    subtract,
+)
 from paratorus.lp import build_partition, random_field_with_decay
-from paratorus.noise import enhance_anderson2d, zero_data
+from paratorus.noise import NoiseSpec, enhance_anderson2d, enhance_generic, zero_data
 from paratorus.torus import (
     field_from_coeffs,
     grid,
@@ -17,6 +25,8 @@ from paratorus.torus import (
 )
 from paratorus.transforms import (
     KERNEL_VERSION,
+    NEUMANN_MAX_TERMS,
+    NEUMANN_TOL,
     apply_gamma,
     apply_lambda,
     apply_phi,
@@ -36,6 +46,15 @@ def anderson_stack():
     data = enhance_anderson2d(g, 2.0**-3, seed=5)
     P = build_partition(g)
     return choose_cutoffs(data, P, power_iters=15, restarts=2)
+
+
+@pytest.fixture(scope="module")
+def drift_stack():
+    # generic_I data carry a drift rho, so Phi's rho term is built and run
+    g = grid(2, 32)
+    data = enhance_generic(NoiseSpec("generic_I", seed=1, amplitude=2.0), g, 2.0**-3)
+    assert not data.is_symmetric()
+    return choose_cutoffs(data, build_partition(g), power_iters=8, restarts=1)
 
 
 @pytest.fixture(scope="module")
@@ -172,6 +191,53 @@ class TestInverses:
         assert max(ratios) < 100.0 * min(ratios) or max(ratios) < 10.0
 
 
+def nested_theta(stack):
+    """Theta and Theta^{-1} through the nested correction I - Upsilon^{-1} R,
+    built from the stack's public operators: a series inside a series."""
+    g = stack.grid
+    step = compose(stack.upsilon_inv, subtract(stack.upsilon, stack.phi))
+    gamma_nested = neumann_inverse_op(step, g, s=1.0, tol=NEUMANN_TOL,
+                                      max_terms=NEUMANN_MAX_TERMS)
+    m_epw = mult_field_op(g, stack.e_pw.coeffs)
+    m_epw_inv = mult_field_op(g, stack.e_pw_inv.coeffs)
+    theta = compose(m_epw, gamma_nested, stack.upsilon_inv, stack.upsilon_bar_inv)
+    theta_inv = compose(stack.upsilon_bar, stack.upsilon,
+                        subtract(identity_op(), step), m_epw_inv)
+    return theta, theta_inv
+
+
+@pytest.mark.parametrize("name", ["drift_stack", "anderson_stack"])
+def test_flat_theta_matches_nested(request, name):
+    stack = request.getfixturevalue(name)
+    theta_ref, theta_inv_ref = nested_theta(stack)
+    for seed in range(5):
+        u = h2_probe(stack.grid, seed, stack.partition).coeffs
+        for op, ref in ((stack.theta, theta_ref), (stack.theta_inv, theta_inv_ref)):
+            want = ref.apply(u)
+            assert coeff_norm(op.apply(u) - want) <= 1e-12 * coeff_norm(want)
+
+
+OPERATOR_FIELDS = ("lambda_", "lambda_bar", "upsilon", "upsilon_inv",
+                   "upsilon_bar", "upsilon_bar_inv", "phi", "gamma", "theta",
+                   "theta_inv")
+
+
+@pytest.mark.parametrize("field", OPERATOR_FIELDS)
+def test_stack_operator_adjoint(drift_stack, field):
+    # <Tx, y> = <x, T*y> in the real l^2 product of Hermitian coefficients;
+    # the power iteration behind every certificate runs T*
+    T = getattr(drift_stack, field)
+    g = drift_stack.grid
+    kmax = 2.0**drift_stack.partition.j_max
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        x, y = (random_field_with_decay(g, 1.0, rng, kmax=kmax).coeffs
+                for _ in range(2))
+        tx = T.apply(x)
+        gap = abs(np.vdot(y, tx).real - np.vdot(T.adjoint(y), x).real)
+        assert gap <= 1e-12 * coeff_norm(tx) * coeff_norm(y)
+
+
 class TestEpsContinuity:
     def test_theta_cauchy_along_schedule(self):
         g = grid(2, 64)
@@ -225,6 +291,17 @@ class TestPersistence:
         path.write_text("".join(l for l in lines if not l.startswith("kernel=")))
         with pytest.raises(ConfigurationError,
                            match=f"no kernel stamp.*{KERNEL_VERSION}"):
+            verify_stack(tmp_path / "stack")
+
+    def test_previous_stamp_refused(self, anderson_stack, tmp_path):
+        # r2c-1 stacks certified the nested Phi, so their cert_phi means
+        # another norm
+        save_stack(anderson_stack, tmp_path / "stack")
+        path = tmp_path / "stack" / "stack_meta"
+        meta = path.read_text().replace(f"kernel={KERNEL_VERSION}\n", "kernel=r2c-1\n")
+        assert "kernel=r2c-1\n" in meta
+        path.write_text(meta)
+        with pytest.raises(ConfigurationError, match=f"r2c-1.*{KERNEL_VERSION}"):
             verify_stack(tmp_path / "stack")
 
     @pytest.mark.parametrize("path, key", [
