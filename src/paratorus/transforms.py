@@ -26,9 +26,9 @@ Here Upsilon = I - K and R = (1-Delta)^{-1} P_{>N} G.  The paracontrolled
 correction proper is I - Upsilon^{-1} R; inverting it as a series would
 run a whole Upsilon^{-1} series inside each of its terms.  Phi is that
 correction premultiplied by Upsilon, since Upsilon (I - Upsilon^{-1} R)
-= I - K - R, so Theta = e^{P>M W} (I - Upsilon^{-1} R)^{-1} Upsilon^{-1}
-UpsilonBar^{-1} is unchanged while its inverse runs one series in K + R
-and Theta^{-1} runs none.  cert_phi is the measured norm
+= I - K - R, so e^{P>M W} (I - Upsilon^{-1} R)^{-1} Upsilon^{-1}
+UpsilonBar^{-1} = e^{P>M W} Gamma UpsilonBar^{-1}: Theta runs one series
+in K + R and Theta^{-1} runs none.  cert_phi is the measured norm
 |K + R|_{H^1 -> H^1} <= 1/2: it certifies exactly the series Theta runs,
 and measuring it runs no series at all.
 
