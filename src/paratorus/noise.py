@@ -362,13 +362,17 @@ class _Meta(dict):
 
 
 def read_meta(path) -> _Meta:
+    """The key=value entries of a UTF-8 meta file, refused naming it if not."""
     meta = _Meta(path)
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line and "=" in line:
-                key, value = line.split("=", 1)
-                meta[key] = value
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line in fh:
+                line = line.strip()
+                if line and "=" in line:
+                    key, value = line.split("=", 1)
+                    meta[key] = value
+    except UnicodeDecodeError as err:
+        raise ConfigurationError(f"{path}: not UTF-8 text ({err.reason})") from None
     return meta
 
 

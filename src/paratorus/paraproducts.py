@@ -32,6 +32,8 @@ from .torus import (
     SpectralField,
     field_from_coeffs,
     full_spectrum,
+    reflected_spectrum,
+    reflected_values,
     resample_half,
 )
 
@@ -97,14 +99,12 @@ class _FixedSidePara:
 
     def __init__(self, g: Grid, fixed_coeffs: np.ndarray, blocks):
         self.n = n = g.n
-        self.axes = tuple(range(g.d))
         self.blocks = []
         for m, fixed_sym, moving_sym in blocks:
             small = min(m, n)
             a, b = (None if s is None else _on_block_grid(s, n, small)
                     for s in (fixed_sym, moving_sym))
-            c = resample_half(fixed_coeffs, n, m, 0.5, 1.0, a)
-            cached = np.fft.irfftn(c, s=(m,) * g.d, axes=self.axes, norm="forward")
+            cached = reflected_values(resample_half(fixed_coeffs, n, m, 0.5, 1.0, a), m)
             self.blocks.append((m, cached, b))
 
     def _product(self, m: int, cached: np.ndarray, half: np.ndarray) -> np.ndarray:
@@ -112,10 +112,7 @@ class _FixedSidePara:
         the m-lattice."""
         # one expression, so that the inverse transform's output is freed
         # before the forward transform allocates its own
-        return np.fft.rfftn(
-            cached * np.fft.irfftn(half, s=(m,) * len(self.axes), axes=self.axes,
-                                   norm="forward"),
-            axes=self.axes, norm="forward")
+        return reflected_spectrum(cached * reflected_values(half, m))
 
     def apply(self, coeffs: np.ndarray) -> np.ndarray:
         n, out = self.n, None

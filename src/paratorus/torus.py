@@ -13,6 +13,13 @@ sum |hat(u)(k)|^2 = grid mean of u^2.  Odd-derivative symbols are set
 to zero at self-conjugate (Nyquist-edge) frequencies so that every
 built-in multiplier maps real fields to real fields.
 
+Every transform is a real FFT on half spectra (last-axis index 0..n/2).
+`reflected_values`/`reflected_spectrum` hold its normalization and sign,
+which list a field's values at -x: products and `exp_field` (2x padded)
+commute with that, `to_physical` and `to_spectral` conjugate.  Nothing
+here calls `split_lattice`/`fold_lattice` any more; they remain as the
+tests' complex reference and as names the benchmark tracer binds.
+
 All operations are pure functions of immutable values and are safe to
 call concurrently; nothing here caches FFT state.
 """
@@ -174,26 +181,18 @@ def constant_field(g: Grid, value: float) -> SpectralField:
 
 
 def to_spectral(u: np.ndarray, g: Grid) -> SpectralField:
-    """Forward transform of physical samples (the integral as a grid mean)."""
+    """Forward transform of real physical samples (the integral as a grid mean)."""
     u = np.asarray(u)
     if u.shape != g.shape:
         raise ConfigurationError(
             f"sample array shape {u.shape} does not match grid shape {g.shape}"
         )
-    return field_from_coeffs(g, np.fft.ifftn(u))
+    return field_from_coeffs(g, full_spectrum(np.conj(reflected_spectrum(u)), g.n))
 
 
 def to_physical(f: SpectralField) -> np.ndarray:
     """Evaluate the field on the grid points (real array)."""
-    vals = np.fft.fftn(f.coeffs)
-    scale = np.max(np.abs(vals))
-    if scale > 0.0 and np.max(np.abs(vals.imag)) / scale > 1e-10:
-        warnings.warn(
-            "field has a non-negligible imaginary part in physical space",
-            HermitianResidueWarning,
-            stacklevel=2,
-        )
-    return vals.real
+    return reflected_values(np.conj(f.coeffs[..., : f.grid.n // 2 + 1]), f.grid.n)
 
 
 def fourier_multiplier(f: SpectralField, m) -> SpectralField:
@@ -438,24 +437,26 @@ def full_spectrum(half: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def embed_coeffs(coeffs: np.ndarray, n_src: int, n_dst: int) -> np.ndarray:
-    """Embed an n_src-lattice coefficient array into an n_dst lattice,
-    splitting Nyquist energy evenly (value-faithful for real fields)."""
-    return split_lattice(coeffs, n_src, n_dst, weight=0.5)
+def reflected_values(half: np.ndarray, m: int) -> np.ndarray:
+    """Values on the m-grid, listed at -x (index -j mod m), of the real
+    field whose m-lattice half spectrum is `half`."""
+    axes = tuple(range(half.ndim))
+    return np.fft.irfftn(half, s=(m,) * half.ndim, axes=axes, norm="forward")
 
 
-def restrict_coeffs(coeffs: np.ndarray, n_src: int, n_dst: int) -> np.ndarray:
-    """Restrict an n_src-lattice coefficient array to an n_dst lattice,
-    folding the Nyquist pair (adjoint of plain zero-extension)."""
-    return fold_lattice(coeffs, n_src, n_dst, weight=1.0)
+def reflected_spectrum(vals: np.ndarray) -> np.ndarray:
+    """Half spectrum of the real field whose values at -x are `vals`."""
+    return np.fft.rfftn(vals, norm="forward")
 
 
-def _product_raw(g: Grid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact product of two band-limited coefficient arrays, 2x padded."""
-    m = 2 * g.n
-    pa = np.fft.fftn(embed_coeffs(a, g.n, m)).real
-    pb = np.fft.fftn(embed_coeffs(b, g.n, m)).real
-    return restrict_coeffs(np.fft.ifftn(pa * pb), m, g.n)
+def _padded_values(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """reflected_values on the 2n-grid, the Nyquist entries split evenly."""
+    return reflected_values(resample_half(coeffs, n, 2 * n, 0.5, 1.0), 2 * n)
+
+
+def _band_limited(vals: np.ndarray, n: int) -> np.ndarray:
+    """Full n-lattice spectrum of 2n-grid values at -x, Nyquist pairs folded."""
+    return full_spectrum(fold_half(reflected_spectrum(vals), 2 * n, n, 1.0), n)
 
 
 def constant_value(coeffs: np.ndarray) -> float | None:
@@ -475,21 +476,19 @@ def pointwise_product(f: SpectralField, g: SpectralField) -> SpectralField:
         c = constant_value(const.coeffs)
         if c is not None:
             return field_from_coeffs(f.grid, c * other.coeffs)
-    return field_from_coeffs(f.grid, _product_raw(f.grid, f.coeffs, g.coeffs))
+    n = f.grid.n
+    prod = _padded_values(f.coeffs, n) * _padded_values(g.coeffs, n)
+    return field_from_coeffs(f.grid, _band_limited(prod, n))
 
 
 def exp_field(f: SpectralField) -> SpectralField:
     """Pointwise exponential on the 2x-padded grid, truncated to band limit."""
-    g = f.grid
-    m = 2 * g.n
-    vals = np.fft.fftn(embed_coeffs(f.coeffs, g.n, m)).real
+    vals = _padded_values(f.coeffs, f.grid.n)
     peak = float(np.max(vals))
     if peak > EXP_OVERFLOW_LIMIT:
-        raise FieldRangeError(
-            f"exponential overflow: max field value {peak:.3g} exceeds "
-            f"{EXP_OVERFLOW_LIMIT:g}"
-        )
-    return field_from_coeffs(g, restrict_coeffs(np.fft.ifftn(np.exp(vals)), m, g.n))
+        raise FieldRangeError(f"exponential overflow: max field value {peak:.3g} "
+                              f"exceeds {EXP_OVERFLOW_LIMIT:g}")
+    return field_from_coeffs(f.grid, _band_limited(np.exp(vals), f.grid.n))
 
 
 # ---------------------------------------------------------------------------

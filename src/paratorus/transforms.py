@@ -360,13 +360,13 @@ def assemble_theta(stack: TransformStack) -> Theta:
 # persistence and re-verification
 
 _EXP_NAMES = ("e_pw", "e_pw_inv", "e_pwv", "e_pwv_inv", "e_pv2w")
-# The arithmetic of the operator kernels (linops.mult_field_op and the
-# per-block paraproducts) and the composition of the stack from them: a
-# saved stack re-verifies bit for bit only under the kernels and the
-# composition that certified it.  Stacks saved before the stamp was
-# written used complex FFTs; r2c-1 stacks certified the nested
-# Phi = I - Upsilon^{-1} R, whose cert_phi has another meaning.
-KERNEL_VERSION = "r2c-2"
+# The arithmetic of the field transforms (the operator kernels, and the
+# products and exponentials behind the data and cached exponentials) and
+# the composition of the stack: a saved stack re-verifies bit for bit only
+# under those that certified it.  Unstamped stacks used complex FFTs;
+# r2c-1 certified the nested Phi = I - Upsilon^{-1} R (another cert_phi);
+# r2c-2 took its products and exponentials from complex FFTs.
+KERNEL_VERSION = "r2c-3"
 
 
 def _certificates(stack: TransformStack) -> dict[str, float]:

@@ -1,30 +1,37 @@
-"""The real-FFT product engine against complex-FFT references.
+"""The real-FFT kernels against complex-FFT references.
 
-`mult_field_op`, the per-block paraproducts and `bony_decompose` all run
-on one engine that transforms half spectra with real FFTs.  The
-references below evaluate the same maps on the full spectrum with
-complex FFTs; on Hermitian inputs (real fields), including non-zero
-Nyquist entries, both must agree to round-off.
+Every transform of the package runs real FFTs on half spectra: the
+products and `exp_field` on the 2x-padded grid, `to_physical` and
+`to_spectral`, and the one engine under `mult_field_op`, the per-block
+paraproducts and `bony_decompose`.  The references below evaluate the
+same maps on the full spectrum with complex FFTs; on Hermitian inputs
+(real fields), including non-zero Nyquist entries, both must agree to
+round-off.  The package itself never calls a complex FFT.
 """
 
 from functools import lru_cache
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from paratorus.errors import FieldRangeError
 from paratorus.linops import mult_field_op, random_hermitian
 from paratorus.lp import build_partition
 from paratorus.paraproducts import HighSidePara, LowSidePara, bony_decompose
 from paratorus.torus import (
+    EXP_OVERFLOW_LIMIT,
     add_split_half,
-    embed_coeffs,
+    exp_field,
     fold_half,
     fold_lattice,
     field_from_coeffs,
     full_spectrum,
     grid,
-    restrict_coeffs,
+    pointwise_product,
     split_lattice,
+    to_physical,
+    to_spectral,
 )
 
 REL_TOL = 1e-14
@@ -45,9 +52,35 @@ def hermitian_with_nyquist(g, rng):
     return x
 
 
+def embed_coeffs(coeffs, n_src, n_dst):
+    """Embed an n_src-lattice array into an n_dst lattice, splitting the
+    Nyquist entries evenly (value-faithful for real fields)."""
+    return split_lattice(coeffs, n_src, n_dst, weight=0.5)
+
+
+def restrict_coeffs(coeffs, n_src, n_dst):
+    """Restrict an n_src-lattice array to an n_dst lattice, folding the
+    Nyquist pairs (the adjoint of plain zero-extension)."""
+    return fold_lattice(coeffs, n_src, n_dst, weight=1.0)
+
+
+def padded_values(g, a):
+    return np.fft.fftn(embed_coeffs(a, g.n, 2 * g.n)).real
+
+
+def ref_product(g, a, b):
+    """Exact product of two band-limited coefficient arrays, 2x padded."""
+    prod = padded_values(g, a) * padded_values(g, b)
+    return restrict_coeffs(np.fft.ifftn(prod), 2 * g.n, g.n)
+
+
+def ref_exp(g, a):
+    return restrict_coeffs(np.fft.ifftn(np.exp(padded_values(g, a))), 2 * g.n, g.n)
+
+
 def ref_mult(g, f, x, adjoint):
     m = 2 * g.n
-    phi = np.fft.fftn(embed_coeffs(f, g.n, m)).real
+    phi = padded_values(g, f)
     w_split, w_fold = (1.0, 0.5) if adjoint else (0.5, 1.0)
     big = split_lattice(x, g.n, m, weight=w_split)
     return fold_lattice(np.fft.ifftn(phi * np.fft.fftn(big)), m, g.n, weight=w_fold)
@@ -96,6 +129,33 @@ def assert_adjoint(op_apply, op_adjoint, x, y):
     lhs, rhs = np.vdot(tx, y), np.vdot(x, ty)
     scale = np.linalg.norm(tx) * np.linalg.norm(y) + np.linalg.norm(x) * np.linalg.norm(ty)
     assert abs(lhs - rhs) <= REL_TOL * scale
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(GRIDS), seeds)
+def test_field_transforms_match_complex_reference(dn, seed):
+    g = grid(*dn)
+    rng = np.random.default_rng(seed)
+    a, b = (hermitian_with_nyquist(g, rng) for _ in range(2))
+    f, h = field_from_coeffs(g, a), field_from_coeffs(g, b)
+    assert_close(pointwise_product(f, h).coeffs, ref_product(g, a, b))
+    # values of size 1, where exp's round-off is that of its argument
+    small = a / np.sum(np.abs(a))
+    assert_close(exp_field(field_from_coeffs(g, small)).coeffs, ref_exp(g, small))
+    vals = to_physical(f)
+    assert vals.dtype == np.float64
+    assert_close(vals, np.fft.fftn(a).real)
+    assert_close(to_spectral(vals, g).coeffs, np.fft.ifftn(np.fft.fftn(a).real))
+
+
+@pytest.mark.parametrize("dn", GRIDS)
+def test_exp_field_refuses_overflow(dn):
+    g = grid(*dn)
+    a = hermitian_with_nyquist(g, np.random.default_rng(0))
+    peak = np.max(padded_values(g, a))
+    exp_field(field_from_coeffs(g, a * (0.99 * EXP_OVERFLOW_LIMIT / peak)))
+    with pytest.raises(FieldRangeError, match="exponential overflow"):
+        exp_field(field_from_coeffs(g, a * (1.01 * EXP_OVERFLOW_LIMIT / peak)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -154,3 +214,24 @@ def test_half_spectrum_split_and_fold(dn, weight, seed):
     X = hermitian_with_nyquist(big, rng)
     np.testing.assert_allclose(full_spectrum(fold_half(X, 2 * n, n, weight), n),
                                fold_lattice(X, 2 * n, n, weight), rtol=0, atol=1e-15)
+
+
+def test_package_runs_no_complex_fft(monkeypatch, tmp_path):
+    from paratorus.noise import NoiseSpec, enhance_anderson2d, enhance_generic
+    from paratorus.torus import lp_norm
+    from paratorus.transforms import choose_cutoffs, save_stack, verify_stack
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("complex FFT called")
+
+    for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn"):
+        monkeypatch.setattr(np.fft, name, refuse)
+    g = grid(2, 32)
+    data = enhance_generic(NoiseSpec("generic_I", seed=1, amplitude=2.0), g, 2.0**-3)
+    stack = choose_cutoffs(data, build_partition(g), power_iters=4, restarts=1)
+    save_stack(stack, tmp_path / "stack")
+    verify_stack(tmp_path / "stack")
+    anderson = enhance_anderson2d(g, 2.0**-3, seed=5)
+    vals = to_physical(anderson.xi)
+    assert_close(to_spectral(vals, g).coeffs, anderson.xi.coeffs)
+    assert lp_norm(anderson.xi, 3.0) > 0.0

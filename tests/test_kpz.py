@@ -222,7 +222,7 @@ class TestAssumptionIIProxy:
         # B^{1.4}_{inf,inf} norm is finite and stable across n = 128, 256
         # for the same band-limited data (coarse draw embedded into the
         # finer grid)
-        from paratorus.torus import embed_coeffs
+        from paratorus.torus import split_lattice
 
         g128 = grid(2, 128)
         spec = NoiseSpec("generic_II", seed=10, amplitude=0.5,
@@ -231,8 +231,8 @@ class TestAssumptionIIProxy:
         norms = {}
         for n in (128, 256):
             g = grid(2, n)
-            xi = field_from_coeffs(g, embed_coeffs(data.xi.coeffs, 128, n))
-            V = field_from_coeffs(g, embed_coeffs(data.V.coeffs, 128, n))
+            xi = field_from_coeffs(g, split_lattice(data.xi.coeffs, 128, n, weight=0.5))
+            V = field_from_coeffs(g, split_lattice(data.V.coeffs, 128, n, weight=0.5))
             result = solve_kpz(KpzProblem(xi, V, data.lam, tol=1e-10))
             P = build_partition(g)
             norms[n] = besov_norm(result.W, BesovIndex(1.4, np.inf, np.inf), P)

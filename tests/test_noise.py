@@ -1,5 +1,9 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paratorus.errors import ConfigurationError, DataError, ResolutionError
 from paratorus.lp import BesovIndex, besov_norm, build_partition
@@ -13,6 +17,7 @@ from paratorus.noise import (
     helmholtz_project,
     load_enhanced,
     mollify,
+    read_meta,
     sample_white_noise,
     save_enhanced,
     wick_constant,
@@ -283,3 +288,31 @@ class TestPersistence:
         data = zero_data(grid(2, 32))
         data.validate()
         assert data.c_eps == 0.0 and l2_norm(data.W) == 0.0
+
+
+def _written_meta() -> bytes:
+    with tempfile.TemporaryDirectory() as d:
+        save_enhanced(zero_data(grid(2, 8)), Path(d) / "tuple")
+        return (Path(d) / "tuple" / "meta").read_bytes()
+
+
+_VALID_META = _written_meta()
+
+
+@settings(max_examples=200, deadline=None)
+@given(position=st.integers(0, len(_VALID_META) - 1), mask=st.integers(1, 255))
+def test_read_meta_with_one_flipped_byte(tmp_path_factory, position, mask):
+    raw = bytearray(_VALID_META)
+    raw[position] ^= mask
+    path = tmp_path_factory.getbasetemp() / "flipped_meta"
+    path.write_bytes(bytes(raw))
+    try:
+        meta = read_meta(path)
+    except ConfigurationError as err:
+        assert str(path) in str(err)
+        return
+    for key in ("eps", "seed", "kind", "n"):
+        try:
+            meta.parsed(key, str if key == "kind" else float)
+        except ConfigurationError as err:
+            assert str(path) in str(err)

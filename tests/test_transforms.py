@@ -293,15 +293,17 @@ class TestPersistence:
                            match=f"no kernel stamp.*{KERNEL_VERSION}"):
             verify_stack(tmp_path / "stack")
 
-    def test_previous_stamp_refused(self, anderson_stack, tmp_path):
+    @pytest.mark.parametrize("stamp", ["r2c-1", "r2c-2"])
+    def test_previous_stamp_refused(self, anderson_stack, tmp_path, stamp):
         # r2c-1 stacks certified the nested Phi, so their cert_phi means
-        # another norm
+        # another norm; r2c-2 stacks took their exponentials from complex
+        # FFTs, so they do not re-verify bit for bit
         save_stack(anderson_stack, tmp_path / "stack")
         path = tmp_path / "stack" / "stack_meta"
-        meta = path.read_text().replace(f"kernel={KERNEL_VERSION}\n", "kernel=r2c-1\n")
-        assert "kernel=r2c-1\n" in meta
+        meta = path.read_text().replace(f"kernel={KERNEL_VERSION}\n", f"kernel={stamp}\n")
+        assert f"kernel={stamp}\n" in meta
         path.write_text(meta)
-        with pytest.raises(ConfigurationError, match=f"r2c-1.*{KERNEL_VERSION}"):
+        with pytest.raises(ConfigurationError, match=f"{stamp}.*{KERNEL_VERSION}"):
             verify_stack(tmp_path / "stack")
 
     @pytest.mark.parametrize("path, key", [
@@ -317,6 +319,14 @@ class TestPersistence:
         meta.write_text("".join(f"{key}=abc\n" if l.startswith(f"{key}=") else l
                                 for l in lines))
         with pytest.raises(ConfigurationError, match=f"{path}: malformed '{key}' entry 'abc'"):
+            verify_stack(tmp_path / "stack")
+
+
+    @pytest.mark.parametrize("path", ["stack_meta", "data/meta"])
+    def test_non_utf8_meta_named(self, zero_stack, tmp_path, path):
+        save_stack(zero_stack, tmp_path / "stack")
+        (tmp_path / "stack" / path).write_bytes(b"M=1\n\xff\xfeN=2\n")
+        with pytest.raises(ConfigurationError, match=f"{path}: not UTF-8 text"):
             verify_stack(tmp_path / "stack")
 
 
