@@ -10,15 +10,15 @@ with S_{j-1} the zero operator for j - 1 < -1.  Every term is an exact
 (dealiased) product of band-limited functions, so the three pieces sum
 to the dealiased pointwise product for resolved inputs.
 
-One engine, `_FixedSidePara`, evaluates every dealiased product of the
-package: a field with one factor fixed and cached is a sum of blocks,
-each the exact product of two filtered fields on the smallest grid that
-holds it alias-free, at most the doubled grid 2n.  The paraproducts
-(`LowSidePara`, `HighSidePara`), the resonant product (`ResonantPara`),
-`bony_decompose` and `linops.mult_field_op` (one unfiltered block on the
-doubled grid) are block lists for it.  The engine runs real FFTs on half
-spectra and has an exact adjoint.  It keeps its private name because
-benchmark tooling outside the package patches it by that name.
+One engine, `_FixedSidePara`, evaluates every product with a cached
+factor: a sum of blocks, each the exact product of two filtered fields
+on the smallest grid that holds it alias-free, at most the doubled grid.
+`LowSidePara`, `HighSidePara`, `ResonantPara`, `bony_decompose` and
+`linops.mult_field_op` (one unfiltered block) are block lists for it.
+It has an exact adjoint and keeps its private name because benchmark
+tooling patches it by that name.  Like `torus.pointwise_product` it
+transforms through `torus.reflected_values`/`reflected_spectrum`, so
+every dealiased product of the package runs the same real FFTs.
 """
 
 from __future__ import annotations

@@ -181,8 +181,8 @@ def constant_field(g: Grid, value: float) -> SpectralField:
 
 
 def to_spectral(u: np.ndarray, g: Grid) -> SpectralField:
-    """Forward transform of real physical samples (the integral as a grid mean)."""
-    u = np.asarray(u)
+    """Forward transform of the samples' real part (the integral as a grid mean)."""
+    u = np.asarray(u, np.float64)
     if u.shape != g.shape:
         raise ConfigurationError(
             f"sample array shape {u.shape} does not match grid shape {g.shape}"

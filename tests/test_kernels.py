@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from paratorus.errors import FieldRangeError
 from paratorus.linops import mult_field_op, random_hermitian
 from paratorus.lp import build_partition
+from paratorus.noise import NoiseSpec, enhance_anderson2d, enhance_generic
 from paratorus.paraproducts import HighSidePara, LowSidePara, bony_decompose
 from paratorus.torus import (
     EXP_OVERFLOW_LIMIT,
@@ -28,11 +29,13 @@ from paratorus.torus import (
     field_from_coeffs,
     full_spectrum,
     grid,
+    lp_norm,
     pointwise_product,
     split_lattice,
     to_physical,
     to_spectral,
 )
+from paratorus.transforms import choose_cutoffs, save_stack, verify_stack
 
 REL_TOL = 1e-14
 GRIDS = [(1, 8), (1, 32), (1, 128), (2, 16), (2, 32), (2, 64), (3, 8), (3, 32)]
@@ -217,10 +220,6 @@ def test_half_spectrum_split_and_fold(dn, weight, seed):
 
 
 def test_package_runs_no_complex_fft(monkeypatch, tmp_path):
-    from paratorus.noise import NoiseSpec, enhance_anderson2d, enhance_generic
-    from paratorus.torus import lp_norm
-    from paratorus.transforms import choose_cutoffs, save_stack, verify_stack
-
     def refuse(*args, **kwargs):
         raise AssertionError("complex FFT called")
 
