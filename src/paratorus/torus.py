@@ -16,8 +16,8 @@ built-in multiplier maps real fields to real fields.
 Every transform is a real FFT on half spectra (last-axis index 0..n/2).
 `reflected_values`/`reflected_spectrum` hold its normalization and sign,
 which list a field's values at -x: products and `exp_field` (2x padded)
-commute with that, `to_physical` and `to_spectral` conjugate.  Nothing
-here calls `split_lattice`/`fold_lattice` any more; they remain as the
+commute with that, `to_physical` and `to_spectral` conjugate.  The
+package does not call `split_lattice`/`fold_lattice`; they serve as the
 tests' complex reference and as names the benchmark tracer binds.
 
 All operations are pure functions of immutable values and are safe to
