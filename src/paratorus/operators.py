@@ -186,7 +186,8 @@ def factorization_remainder(stack: TransformStack, trials: int = 20,
                             seed: int = 2000, delta_prime: float = 0.1,
                             power_iters: int = 10) -> FactorizationReport:
     """Measure lower(v) := A(Theta v) - (1-Delta) v as a map H^2 -> L^2 and
-    H^2 -> H^{delta'}, plus the norm-equivalence constants."""
+    H^2 -> H^{delta'}, plus the norm-equivalence constants.  power_iters
+    caps the steps of each operator norm."""
     g = stack.grid
     a_op = AOperator(stack.data)
     theta = stack.theta
@@ -556,6 +557,8 @@ class StudyConfig:
     k_eigs: int = 5
     lam0: float | None = None
     tol_resolvent: float = 1e-10
+    # step caps of the operator norms behind d_res, d_fac and the
+    # certificates (linops.operator_norm)
     power_iters_res: int = 8
     power_iters_fac: int = 8
     power_iters_cert: int = 30

@@ -30,7 +30,9 @@ correction premultiplied by Upsilon, since Upsilon (I - Upsilon^{-1} R)
 UpsilonBar^{-1} = e^{P>M W} Gamma UpsilonBar^{-1}: Theta runs one series
 in K + R and Theta^{-1} runs none.  cert_phi is the measured norm
 |K + R|_{H^1 -> H^1} <= 1/2: it certifies exactly the series Theta runs,
-and measuring it runs no series at all.
+and measuring it runs no series at all.  Every operator-norm certificate
+is a Golub-Kahan-Lanczos estimate (linops.operator_norm) that stops once
+it has settled, capped at power_iters x restarts steps.
 
 The modified potential Z~^M is the exact zeroth-order coefficient of the
 conjugated operator (see operators.apply_A_tilde), so the paracontrolled
@@ -160,7 +162,12 @@ def build_stack(
     restarts: int = 2,
 ) -> TransformStack:
     """Assemble the full operator stack at the given cutoffs and measure
-    all certificates (no search; see choose_cutoffs for the selection)."""
+    all certificates (no search; see choose_cutoffs for the selection).
+
+    Each operator norm takes at most power_iters x restarts Golub-Kahan-
+    Lanczos steps from a start drawn from probe_seed (probe_seed + 1 for
+    cert_phi); the names are kept from the power iteration it replaced,
+    whose applies that cap never exceeds."""
     g = data.grid
     if partition.grid != g:
         raise ConfigurationError("partition grid does not match the data grid")
@@ -272,7 +279,8 @@ def choose_cutoffs(
     smallest N with cert_phi, the measured norm |K + R|_{H^1 -> H^1} of
     the one series behind Gamma and Theta, <= 1/2.
     Both searches are capped at the partition's top block index; hitting
-    the cap is a refusal, not a silent degradation."""
+    the cap is a refusal, not a silent degradation.  power_iters x
+    restarts is the step cap of every operator norm (see build_stack)."""
     cap = partition.j_max
     M = None
     for candidate in range(cap + 1):
@@ -365,8 +373,9 @@ _EXP_NAMES = ("e_pw", "e_pw_inv", "e_pwv", "e_pwv_inv", "e_pv2w")
 # the composition of the stack: a saved stack re-verifies bit for bit only
 # under those that certified it.  Unstamped stacks used complex FFTs;
 # r2c-1 certified the nested Phi = I - Upsilon^{-1} R (another cert_phi);
-# r2c-2 took its products and exponentials from complex FFTs.
-KERNEL_VERSION = "r2c-3"
+# r2c-2 took its products and exponentials from complex FFTs; r2c-3
+# measured the operator norms by power iteration (other certificates).
+KERNEL_VERSION = "r2c-4"
 
 
 def _certificates(stack: TransformStack) -> dict[str, float]:
