@@ -10,7 +10,10 @@ Sobolev-weighted spaces via conjugation with the diagonal weights.
 
 The multiplications and paraproducts are block lists of the one
 dealiased-product engine, `paraproducts._FixedSidePara`: a field
-multiplication is a single unfiltered block on the doubled grid 2n.
+multiplication is a single unfiltered block on the product grid
+`torus.product_size(n)` (about 3n/2, where it is exact), and a sum of
+multiplications with derivatives before or after them
+(`field_products_op`) runs in one transform pass.
 The engine runs real FFTs on the half spectrum (last-axis frequency
 index 0..n/2) and returns its Hermitian completion, so the other half of
 the input is never read: the operators act on Hermitian coefficient
@@ -31,8 +34,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import CertificateError
-from .paraproducts import HighSidePara, LowSidePara, _FixedSidePara
-from .torus import Grid, constant_value
+from .paraproducts import Block, HighSidePara, LowSidePara, _FixedSidePara
+from .torus import Grid, constant_value, product_size
 
 Array = np.ndarray
 
@@ -97,18 +100,40 @@ def scale(op: LinOp, c: float) -> LinOp:
     return LinOp(lambda x: c * op.apply(x), lambda x: np.conj(c) * op.adjoint(x))
 
 
+def field_products_op(g: Grid, terms) -> LinOp:
+    """x -> sum over terms (f, b, c) of c(D) (f * b(D) x): dealiased
+    multiplications by real fields f, given by their coefficients, with
+    b and c Fourier symbols (derivatives, say) or None.
+
+    The products by non-constant fields are blocks of the paraproduct
+    engine on the product grid, where each field's physical values are
+    cached, and run in one transform pass: one inverse transform per
+    distinct b, one forward transform per distinct c.  A constant field
+    multiplies by its value, exactly and without transforms, and a zero
+    field is dropped."""
+    m = product_size(g.n)
+    blocks, exact = [], []
+    for coeffs, b, c in terms:
+        value = constant_value(coeffs)
+        if value is None:
+            blocks.append(Block(m, coeffs, None, b, c))
+        elif value != 0.0:
+            exact.append(multiplier_op(value * _or_one(b) * _or_one(c)))
+    if blocks:
+        eng = _FixedSidePara(g, blocks)
+        exact.append(LinOp(eng.apply, eng.adjoint))
+    return add(*exact) if exact else multiplier_op(0.0)
+
+
+def _or_one(sym):
+    return 1.0 if sym is None else sym
+
+
 def mult_field_op(g: Grid, coeffs: Array) -> LinOp:
-    """Dealiased multiplication by the real field with the given coefficients:
-    one unfiltered block of the paraproduct engine on the doubled grid,
-    where the field's physical values are cached.  Self-adjoint up to the
-    Nyquist-edge weight bookkeeping, which the adjoint handles exactly.
-    A constant field multiplies by its value, exactly and without
-    transforms."""
-    c = constant_value(coeffs)
-    if c is not None:
-        return LinOp(lambda x: c * x, lambda x: c * x)
-    eng = _FixedSidePara(g, coeffs, [(2 * g.n, None, None)])
-    return LinOp(eng.apply, eng.adjoint)
+    """Dealiased multiplication by the real field with the given coefficients
+    (one term of field_products_op).  Self-adjoint up to the Nyquist-edge
+    weight bookkeeping, which the adjoint handles exactly."""
+    return field_products_op(g, [(coeffs, None, None)])
 
 
 def deriv_op(g: Grid, axis: int) -> LinOp:

@@ -37,8 +37,7 @@ from .linops import (
     LinOp,
     add,
     compose,
-    deriv_op,
-    mult_field_op,
+    field_products_op,
     multiplier_op,
     operator_norm,
     random_hermitian,
@@ -70,26 +69,33 @@ from .transforms import (
 
 
 class AOperator:
-    """Matrix-free (1-Delta) + grad V . grad + (xi + c) + div(rho .)."""
+    """Matrix-free (1-Delta) + grad V . grad + (xi + c) + div(rho .).
+
+    The lower-order terms are one sum of dealiased products,
+    (xi + c) u + sum_l d_l V d_l u + sum_l d_l (rho_l u), evaluated by
+    linops.field_products_op in one transform pass on the product grid:
+    with V and rho both present in 2d, three inverse transforms (of u,
+    d_1 u, d_2 u) and three forward ones (of the sums that d_1, d_2 and
+    nothing act on).  A constant potential multiplies exactly, without
+    transforms, and zero terms are left out, so on such data A is
+    (1-Delta) + c exactly."""
 
     def __init__(self, data: EnhancedData):
         g = data.grid
         self.data = data
         parts = [multiplier_op(g.sobolev_symbol(2.0))]
+        terms = []
         potential = data.xi + constant_field(g, data.c_eps)
         if np.any(potential.coeffs != 0.0):
-            parts.append(mult_field_op(g, potential.coeffs))
+            terms.append((potential.coeffs, None, None))
         if l2_norm(data.V) > 0.0:
-            gv = grad(data.V)
-            parts.append(add(*[
-                compose(mult_field_op(g, gv[l].coeffs), deriv_op(g, l))
-                for l in range(g.d)
-            ]))
+            terms += [(dv.coeffs, g.deriv_symbols[l], None)
+                      for l, dv in enumerate(grad(data.V))]
         if not data.is_symmetric():
-            parts.append(add(*[
-                compose(deriv_op(g, l), mult_field_op(g, data.rho[l].coeffs))
-                for l in range(g.d)
-            ]))
+            terms += [(r.coeffs, None, g.deriv_symbols[l])
+                      for l, r in enumerate(data.rho)]
+        if terms:
+            parts.append(field_products_op(g, terms))
         self.op = add(*parts)
         # symmetric as a plain L^2 operator only without drift and potential
         # gradient terms (the xi + c multiplication is always symmetric)

@@ -12,16 +12,23 @@ to the dealiased pointwise product for resolved inputs.
 
 One engine, `_FixedSidePara`, evaluates every product with a cached
 factor: a sum of blocks, each the exact product of two filtered fields
-on the smallest grid that holds it alias-free, at most the doubled grid.
+on the smallest grid that holds it alias-free, at most the product grid
+`torus.product_size(n)` (about 3n/2).  Each block carries its own fixed
+factor and may filter its input and its output, and a sum of blocks runs
+in one transform pass: blocks on one grid share the inverse transform of
+a common input and the forward transform of a common output.
 `LowSidePara`, `HighSidePara`, `ResonantPara`, `bony_decompose` and
-`linops.mult_field_op` (one unfiltered block) are block lists for it.
-It has an exact adjoint and keeps its private name because benchmark
-tooling patches it by that name.  Like `torus.pointwise_product` it
-transforms through `torus.reflected_values`/`reflected_spectrum`, so
-every dealiased product of the package runs the same real FFTs.
+`linops.field_products_op` (the field multiplications, alone or summed
+as in the operator A) are block lists for it.  It has an exact adjoint
+and keeps its private name because benchmark tooling patches it by that
+name.  Like `torus.pointwise_product` it transforms through
+`torus.reflected_values`/`reflected_spectrum`, so every dealiased product
+of the package runs the same real FFTs.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +39,7 @@ from .torus import (
     SpectralField,
     field_from_coeffs,
     full_spectrum,
+    product_size,
     reflected_spectrum,
     reflected_values,
     resample_half,
@@ -77,58 +85,101 @@ def para_apply(
 # the dealiased-product engine and its block lists
 
 def _on_block_grid(sym: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Half spectrum of a radial symbol on the m-lattice (m <= n)."""
+    """Half spectrum of a symbol on the m-lattice (m <= n)."""
     k = np.arange(m)
     src = np.where(k <= m // 2, k, k + n - m)
     return sym[np.ix_(*([src] * (sym.ndim - 1) + [src[: m // 2 + 1]]))]
 
 
-class _FixedSidePara:
-    """w -> sum over blocks of (a(D) fixed) * (b(D) w), each product exact
-    on its block's m-lattice; the adjoint is w -> sum b(D) ((a(D) fixed) * w),
-    the symbols being real.
+class Block(NamedTuple):
+    """One product of the engine: w -> c(D) [(a(D) fixed) * (b(D) w)],
+    exact on the m-lattice.  `fixed` holds the coefficients of a real
+    field; a = fixed_sym, b = in_sym and c = out_sym are Fourier symbols
+    on the n-lattice, or None for no filter."""
 
-    `blocks` lists (m, a, b) with a and b radial symbols on the n-lattice,
-    or None for no filter.  A block with m <= n folds its inputs onto the
-    m-lattice and splits the product back; one with m > n splits its
-    inputs and folds the product.  The symbols act on the smaller of the
-    two lattices, where the Nyquist pairs they multiply share one value.
-    Every block adds into one half spectrum, completed to the full
-    Hermitian array once per call.
+    m: int
+    fixed: np.ndarray
+    fixed_sym: np.ndarray | None = None
+    in_sym: np.ndarray | None = None
+    out_sym: np.ndarray | None = None
+
+
+def _plan(blocks, in_side, out_side, symbol, cached):
+    """Group the blocks into transform passes: those with the same grid m
+    and input symbol share one inverse transform of the moving field,
+    those with the same m and output symbol add their physical products
+    before one forward transform.  Returns (inputs, outputs): inputs
+    lists (m, symbol), outputs (m, symbol, [(cached factor, input)], the
+    inputs last used by this output)."""
+    inputs, outputs, in_ix, out_ix = [], [], {}, {}
+    for blk, phys in zip(blocks, cached):
+        s_in, s_out = getattr(blk, in_side), getattr(blk, out_side)
+        i = in_ix.setdefault((blk.m, id(s_in)), len(inputs))
+        if i == len(inputs):
+            inputs.append((blk.m, symbol(blk.m, s_in)))
+        o = out_ix.setdefault((blk.m, id(s_out)), len(outputs))
+        if o == len(outputs):
+            outputs.append((blk.m, symbol(blk.m, s_out), [], []))
+        outputs[o][2].append((phys, i))
+    last = {i: o for o, (_, _, terms, _) in enumerate(outputs) for _, i in terms}
+    for i, o in last.items():
+        outputs[o][3].append(i)
+    return inputs, outputs
+
+
+class _FixedSidePara:
+    """w -> sum over blocks of c(D) [(a(D) fixed) * (b(D) w)], each product
+    exact on its block's m-lattice (see Block); the adjoint is
+    w -> sum conj(b)(D) [(a(D) fixed) * (conj(c)(D) w)], the cached
+    factors being real.
+
+    A block with m <= n folds its inputs onto the m-lattice and splits the
+    product back; one with m > n splits its inputs and folds the product.
+    The symbols act on the smaller of the two lattices, where the Nyquist
+    pairs they multiply share one value.  A sum of blocks runs in one
+    transform pass: one inverse transform per (m, input symbol), one
+    forward transform per (m, output symbol), all adding into one half
+    spectrum that is completed to the full Hermitian array once per call.
     """
 
-    def __init__(self, g: Grid, fixed_coeffs: np.ndarray, blocks):
+    def __init__(self, g: Grid, blocks):
         self.n = n = g.n
-        self.blocks = []
-        for m, fixed_sym, moving_sym in blocks:
-            small = min(m, n)
-            a, b = (None if s is None else _on_block_grid(s, n, small)
-                    for s in (fixed_sym, moving_sym))
-            cached = reflected_values(resample_half(fixed_coeffs, n, m, 0.5, 1.0, a), m)
-            self.blocks.append((m, cached, b))
 
-    def _product(self, m: int, cached: np.ndarray, half: np.ndarray) -> np.ndarray:
-        """Half spectrum of the cached factor times the field `half`, on
-        the m-lattice."""
-        # one expression, so that the inverse transform's output is freed
-        # before the forward transform allocates its own
-        return reflected_spectrum(cached * reflected_values(half, m))
+        def half(m, s, conj=False):
+            if s is None:
+                return None
+            s = _on_block_grid(np.broadcast_to(s, g.shape), n, min(m, n))
+            return np.conj(s) if conj and np.iscomplexobj(s) else s
+
+        blocks = list(blocks)
+        cached = [reflected_values(resample_half(
+            b.fixed, n, b.m, 0.5, 1.0, half(b.m, b.fixed_sym)), b.m) for b in blocks]
+        self._forward = _plan(blocks, "in_sym", "out_sym", half, cached)
+        self._backward = _plan(blocks, "out_sym", "in_sym",
+                               lambda m, s: half(m, s, conj=True), cached)
+
+    def _run(self, plan, coeffs: np.ndarray, split: float, fold: float) -> np.ndarray:
+        n, (inputs, outputs) = self.n, plan
+        vals = [reflected_values(resample_half(coeffs, n, m, split, fold, sym), m)
+                for m, sym in inputs]
+        out = None
+        for m, sym, terms, done in outputs:
+            phys = None
+            for cached, i in terms:
+                phys = cached * vals[i] if phys is None else phys + cached * vals[i]
+            # free the inputs used up before the forward transform allocates
+            for i in done:
+                vals[i] = None
+            out = resample_half(reflected_spectrum(phys), m, n, split, fold, sym, out)
+        return full_spectrum(out, n)
 
     def apply(self, coeffs: np.ndarray) -> np.ndarray:
-        n, out = self.n, None
-        for m, cached, b in self.blocks:
-            wj = resample_half(coeffs, n, m, 0.5, 1.0, b)
-            out = resample_half(self._product(m, cached, wj), m, n, 0.5, 1.0, out=out)
-        return full_spectrum(out, n)
+        return self._run(self._forward, coeffs, 0.5, 1.0)
 
     def adjoint(self, coeffs: np.ndarray) -> np.ndarray:
         # the real transforms' normalizations cancel around the real
         # physical factor, leaving the mirrored composition
-        n, out = self.n, None
-        for m, cached, b in self.blocks:
-            wj = resample_half(coeffs, n, m, 1.0, 0.5)
-            out = resample_half(self._product(m, cached, wj), m, n, 1.0, 0.5, b, out)
-        return full_spectrum(out, n)
+        return self._run(self._backward, coeffs, 1.0, 0.5)
 
 
 class LowSidePara(_FixedSidePara):
@@ -136,8 +187,9 @@ class LowSidePara(_FixedSidePara):
 
     def __init__(self, P: DyadicPartition, f_coeffs: np.ndarray):
         n = P.grid.n
-        super().__init__(P.grid, f_coeffs, [
-            (min(n, 2 ** (j + 3)), P.partial_symbol(j - 1), P.block_symbol(j))
+        super().__init__(P.grid, [
+            Block(min(n, 2 ** (j + 3)), f_coeffs, P.partial_symbol(j - 1),
+                  P.block_symbol(j))
             for j in range(1, P.j_max + 1)
         ])
 
@@ -147,21 +199,24 @@ class HighSidePara(_FixedSidePara):
 
     def __init__(self, P: DyadicPartition, z_coeffs: np.ndarray):
         n = P.grid.n
-        super().__init__(P.grid, z_coeffs, [
-            (min(n, 2 ** (j + 3)), P.block_symbol(j), P.partial_symbol(j - 1))
+        super().__init__(P.grid, [
+            Block(min(n, 2 ** (j + 3)), z_coeffs, P.block_symbol(j),
+                  P.partial_symbol(j - 1))
             for j in range(1, P.j_max + 1)
         ])
 
 
 class ResonantPara(_FixedSidePara):
     """w -> f reso w with f fixed and cached; the top block's product
-    reaches past the n-lattice band, so it runs on the doubled grid."""
+    reaches past the n-lattice band, so it runs on the product grid
+    (torus.product_size), the smallest one where it is alias-free."""
 
     def __init__(self, P: DyadicPartition, f_coeffs: np.ndarray):
         n, J = P.grid.n, P.j_max
-        super().__init__(P.grid, f_coeffs, [
-            (min(2 * n, 2 ** (j + 4)), P.block_symbol(j),
-             sum(P.block_symbol(i) for i in (j - 1, j, j + 1) if -1 <= i <= J))
+        m_top = product_size(n)
+        super().__init__(P.grid, [
+            Block(min(m_top, 2 ** (j + 4)), f_coeffs, P.block_symbol(j),
+                  sum(P.block_symbol(i) for i in (j - 1, j, j + 1) if -1 <= i <= J))
             for j in range(-1, J + 1)
         ])
 

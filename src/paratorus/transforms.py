@@ -60,6 +60,7 @@ from .linops import (
     add,
     compose,
     deriv_op,
+    field_products_op,
     identity_op,
     mult_field_op,
     multiplier_op,
@@ -215,14 +216,13 @@ def build_stack(
         compose(deriv_op(g, l), high_e2, deriv_op(g, l)) for l in range(g.d)
     ])
     g_parts = [high_zm, grad_para]
+    m_epw = mult_field_op(g, e_pw.coeffs)
     if not data.is_symmetric():
-        m_pwv = mult_field_op(g, e_pwv.coeffs)
-        m_pw = mult_field_op(g, e_pw.coeffs)
-        rho_div = add(*[
-            compose(deriv_op(g, l), mult_field_op(g, data.rho[l].coeffs), m_pw)
-            for l in range(g.d)
-        ])
-        g_parts.append(compose(m_pwv, rho_div))
+        # e^{P>M(V+W)} div(rho e^{P>M W} w): e^{P>M W} w once, then the d
+        # products by rho_l in one transform pass
+        rho_div = field_products_op(g, [(r.coeffs, None, g.deriv_symbols[l])
+                                        for l, r in enumerate(data.rho)])
+        g_parts.append(compose(mult_field_op(g, e_pwv.coeffs), rho_div, m_epw))
     proj_n = multiplier_op(np.where(g.kabs > 2.0**N, 1.0, 0.0))
     R = compose(lap1_inv, proj_n, add(*g_parts))
     phi_step = add(K, R)
@@ -230,7 +230,6 @@ def build_stack(
     gamma = neumann_inverse_op(phi_step, g, s=1.0, tol=NEUMANN_TOL,
                                max_terms=NEUMANN_MAX_TERMS)
 
-    m_epw = mult_field_op(g, e_pw.coeffs)
     m_epw_inv = mult_field_op(g, e_pw_inv.coeffs)
     theta = compose(m_epw, gamma, upsilon_bar_inv)
     theta_inv = compose(upsilon_bar, phi, m_epw_inv)
@@ -374,8 +373,10 @@ _EXP_NAMES = ("e_pw", "e_pw_inv", "e_pwv", "e_pwv_inv", "e_pv2w")
 # under those that certified it.  Unstamped stacks used complex FFTs;
 # r2c-1 certified the nested Phi = I - Upsilon^{-1} R (another cert_phi);
 # r2c-2 took its products and exponentials from complex FFTs; r2c-3
-# measured the operator norms by power iteration (other certificates).
-KERNEL_VERSION = "r2c-4"
+# measured the operator norms by power iteration (other certificates);
+# r2c-4 ran every dealiased product on the doubled grid 2n and each
+# product of a sum in its own transforms (certificates moved at round-off).
+KERNEL_VERSION = "r2c-5"
 
 
 def _certificates(stack: TransformStack) -> dict[str, float]:

@@ -1,12 +1,13 @@
 """The real-FFT kernels against complex-FFT references.
 
 Every transform of the package runs real FFTs on half spectra: the
-products and `exp_field` on the 2x-padded grid, `to_physical` and
-`to_spectral`, and the one engine under `mult_field_op`, the per-block
-paraproducts and `bony_decompose`.  The references below evaluate the
-same maps on the full spectrum with complex FFTs; on Hermitian inputs
-(real fields), including non-zero Nyquist entries, both must agree to
-round-off.  The package itself never calls a complex FFT.
+products on the product grid (`torus.product_size`, about 3n/2),
+`exp_field` on the 2x-padded grid, `to_physical` and `to_spectral`, and
+the one engine under `mult_field_op`, the per-block paraproducts and
+`bony_decompose`.  The references below evaluate the same maps on the
+full spectrum with complex FFTs, every product on the doubled grid; on
+Hermitian inputs (real fields), including non-zero Nyquist entries, both
+must agree to round-off.  The package itself never calls a complex FFT.
 """
 
 from functools import lru_cache
@@ -194,7 +195,7 @@ def test_paraproducts_match_complex_reference(dn, side, seed):
 @given(st.sampled_from(PARTITION_GRIDS), seeds)
 def test_bony_decompose_matches_complex_reference(dn, seed):
     # full-band inputs reach the top block, whose resonant products run on
-    # the doubled grid
+    # the product grid
     P = partition(*dn)
     rng = np.random.default_rng(seed)
     f, g = (hermitian_with_nyquist(P.grid, rng) for _ in range(2))

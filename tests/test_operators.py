@@ -5,6 +5,14 @@ import pytest
 
 from paratorus import operators
 from paratorus.errors import EigenSolverError, ShiftTooSmallError
+from paratorus.linops import (
+    add,
+    compose,
+    deriv_op,
+    mult_field_op,
+    multiplier_op,
+    random_hermitian,
+)
 from paratorus.lp import build_partition, random_field_with_decay
 from paratorus.noise import (
     NoiseSpec,
@@ -31,6 +39,7 @@ from paratorus.torus import (
     grad,
     grid,
     l2_norm,
+    product_size,
     sobolev_norm,
     sobolev_scale,
     to_physical,
@@ -83,6 +92,96 @@ class TestApplyA:
         lhs = np.vdot(au.coeffs, v.coeffs).real
         rhs = np.vdot(u.coeffs, av.coeffs).real
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+
+
+def term_by_term_A(data):
+    """A composed one multiplication at a time, each product in its own
+    transforms: the reference for AOperator's one-pass sum of products."""
+    g = data.grid
+    potential = data.xi + constant_field(g, data.c_eps)
+    gv = grad(data.V)
+    return add(
+        multiplier_op(g.sobolev_symbol(2.0)),
+        mult_field_op(g, potential.coeffs),
+        *[compose(mult_field_op(g, gv[l].coeffs), deriv_op(g, l)) for l in range(g.d)],
+        *[compose(deriv_op(g, l), mult_field_op(g, data.rho[l].coeffs))
+          for l in range(g.d)],
+    )
+
+
+def drift_data():
+    data = enhance_generic(NoiseSpec("generic_I", seed=1, amplitude=2.0), grid(2, 32),
+                           2.0**-3)
+    assert not data.is_symmetric() and l2_norm(data.V) > 0.0
+    return data
+
+
+def anderson_data():
+    return enhance_anderson2d(grid(2, 64), 2.0**-3, seed=5)
+
+
+def full_band_probes(g, count):
+    rng = np.random.default_rng(11)
+    probes = [random_hermitian(g, rng) for _ in range(count)]
+    assert all(np.all(x[..., g.n // 2] != 0.0) for x in probes)
+    return probes
+
+
+class TestFusedA:
+    @pytest.mark.parametrize("make_data", [drift_data, anderson_data])
+    def test_matches_term_by_term_reference(self, make_data):
+        data = make_data()
+        g = data.grid
+        op, ref = AOperator(data).op, term_by_term_A(data)
+        lap1 = g.sobolev_symbol(2.0)
+        x, y = full_band_probes(g, 2)
+        for got, want in ((op.apply(x), ref.apply(x)), (op.adjoint(x), ref.adjoint(x))):
+            # the lower-order part alone, so that (1 - Delta) x does not
+            # dominate the scale
+            assert (np.linalg.norm(got - want)
+                    <= 1e-14 * np.linalg.norm(want - lap1 * x))
+        lhs, rhs = np.vdot(op.apply(x), y).real, np.vdot(x, op.adjoint(y)).real
+        assert abs(lhs - rhs) <= 1e-14 * (np.linalg.norm(op.apply(x)) * np.linalg.norm(y))
+
+    @pytest.mark.parametrize("c, V", [(0.0, 0.0), (2.5, 0.0), (-1.25, 0.7)])
+    def test_constant_potential_is_exact(self, monkeypatch, c, V):
+        g = grid(2, 32)
+        data = dataclasses.replace(zero_data(g), c_eps=c, V=constant_field(g, V))
+        x = full_band_probes(g, 1)[0]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("FFT called")
+
+        for name in ("rfftn", "irfftn", "fftn", "ifftn"):
+            monkeypatch.setattr(np.fft, name, refuse)
+        op = AOperator(data).op
+        want = g.sobolev_symbol(2.0) * x + c * x
+        np.testing.assert_array_equal(op.apply(x), want)
+        np.testing.assert_array_equal(op.adjoint(x), want)
+
+    @pytest.mark.parametrize("which", ["apply", "adjoint"])
+    def test_transform_budget(self, monkeypatch, which):
+        # (xi + c), d_l V after d_l and d_l after rho_l: the inverse
+        # transforms of x, d_1 x, d_2 x and the forward ones of the three
+        # sums, all on the product grid
+        data = drift_data()
+        g = data.grid
+        op = AOperator(data).op
+        x = full_band_probes(g, 1)[0]
+        shapes = []
+
+        def counted(fn, of_output):
+            def wrapper(a, *args, **kwargs):
+                out = fn(a, *args, **kwargs)
+                shapes.append((out if of_output else a).shape)
+                return out
+            return wrapper
+
+        monkeypatch.setattr(np.fft, "irfftn", counted(np.fft.irfftn, True))
+        monkeypatch.setattr(np.fft, "rfftn", counted(np.fft.rfftn, False))
+        getattr(op, which)(x)
+        assert len(shapes) <= 6
+        assert set(shapes) == {(product_size(g.n),) * g.d}
 
 
 class TestATilde:

@@ -443,12 +443,13 @@ class TestPersistence:
                            match=f"no kernel stamp.*{KERNEL_VERSION}"):
             verify_stack(tmp_path / "stack")
 
-    @pytest.mark.parametrize("stamp", ["r2c-1", "r2c-2", "r2c-3"])
+    @pytest.mark.parametrize("stamp", ["r2c-1", "r2c-2", "r2c-3", "r2c-4"])
     def test_previous_stamp_refused(self, anderson_stack, tmp_path, stamp):
         # r2c-1 stacks certified the nested Phi, so their cert_phi means
         # another norm; r2c-2 stacks took their exponentials from complex
-        # FFTs, and r2c-3 stacks measured their norms by power iteration,
-        # so neither re-verifies bit for bit
+        # FFTs, r2c-3 stacks measured their norms by power iteration, and
+        # r2c-4 stacks ran their products on the doubled grid, so none
+        # re-verifies bit for bit
         save_stack(anderson_stack, tmp_path / "stack")
         path = tmp_path / "stack" / "stack_meta"
         meta = path.read_text().replace(f"kernel={KERNEL_VERSION}\n", f"kernel={stamp}\n")
