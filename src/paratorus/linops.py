@@ -100,6 +100,10 @@ def scale(op: LinOp, c: float) -> LinOp:
     return LinOp(lambda x: c * op.apply(x), lambda x: np.conj(c) * op.adjoint(x))
 
 
+def _or_one(sym):
+    return 1.0 if sym is None else sym
+
+
 def field_products_op(g: Grid, terms) -> LinOp:
     """x -> sum over terms (f, b, c) of c(D) (f * b(D) x): dealiased
     multiplications by real fields f, given by their coefficients, with
@@ -108,25 +112,22 @@ def field_products_op(g: Grid, terms) -> LinOp:
     The products by non-constant fields are blocks of the paraproduct
     engine on the product grid, where each field's physical values are
     cached, and run in one transform pass: one inverse transform per
-    distinct b, one forward transform per distinct c.  A constant field
-    multiplies by its value, exactly and without transforms, and a zero
-    field is dropped."""
+    distinct b, one forward transform per distinct c (symbols are told
+    apart by identity, as Grid.deriv_symbols hands them out).  A constant
+    field multiplies by its value, exactly and without transforms, and a
+    zero field is dropped."""
     m = product_size(g.n)
-    blocks, exact = [], []
+    blocks, ops = [], []
     for coeffs, b, c in terms:
         value = constant_value(coeffs)
         if value is None:
             blocks.append(Block(m, coeffs, None, b, c))
         elif value != 0.0:
-            exact.append(multiplier_op(value * _or_one(b) * _or_one(c)))
+            ops.append(multiplier_op(value * _or_one(b) * _or_one(c)))
     if blocks:
         eng = _FixedSidePara(g, blocks)
-        exact.append(LinOp(eng.apply, eng.adjoint))
-    return add(*exact) if exact else multiplier_op(0.0)
-
-
-def _or_one(sym):
-    return 1.0 if sym is None else sym
+        ops.append(LinOp(eng.apply, eng.adjoint))
+    return add(*ops) if ops else multiplier_op(0.0)
 
 
 def mult_field_op(g: Grid, coeffs: Array) -> LinOp:

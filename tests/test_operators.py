@@ -109,6 +109,7 @@ def term_by_term_A(data):
     )
 
 
+@pytest.fixture(scope="module")
 def drift_data():
     data = enhance_generic(NoiseSpec("generic_I", seed=1, amplitude=2.0), grid(2, 32),
                            2.0**-3)
@@ -116,6 +117,7 @@ def drift_data():
     return data
 
 
+@pytest.fixture(scope="module")
 def anderson_data():
     return enhance_anderson2d(grid(2, 64), 2.0**-3, seed=5)
 
@@ -128,9 +130,9 @@ def full_band_probes(g, count):
 
 
 class TestFusedA:
-    @pytest.mark.parametrize("make_data", [drift_data, anderson_data])
-    def test_matches_term_by_term_reference(self, make_data):
-        data = make_data()
+    @pytest.mark.parametrize("name", ["drift_data", "anderson_data"])
+    def test_matches_term_by_term_reference(self, request, name):
+        data = request.getfixturevalue(name)
         g = data.grid
         op, ref = AOperator(data).op, term_by_term_A(data)
         lap1 = g.sobolev_symbol(2.0)
@@ -160,13 +162,12 @@ class TestFusedA:
         np.testing.assert_array_equal(op.adjoint(x), want)
 
     @pytest.mark.parametrize("which", ["apply", "adjoint"])
-    def test_transform_budget(self, monkeypatch, which):
+    def test_transform_budget(self, monkeypatch, drift_data, which):
         # (xi + c), d_l V after d_l and d_l after rho_l: the inverse
         # transforms of x, d_1 x, d_2 x and the forward ones of the three
         # sums, all on the product grid
-        data = drift_data()
-        g = data.grid
-        op = AOperator(data).op
+        g = drift_data.grid
+        op = AOperator(drift_data).op
         x = full_band_probes(g, 1)[0]
         shapes = []
 
