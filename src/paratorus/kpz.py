@@ -8,7 +8,10 @@ solved by Picard iteration on
 
 whose fixed points satisfy the equation exactly as displayed.  For rough
 data the iteration contracts once lam is large enough; auto_lambda doubles
-lam until a contraction window is observed.
+lam until a contraction window is observed.  The nonlinearity is evaluated
+as sum_l d_l W . d_l(W - V), by bilinearity d dealiased products instead
+of 2d, and solve_kpz evaluates it once per step: at W_k it gives both the
+residual of W_k and the next iterate W_{k+1}.
 """
 
 from __future__ import annotations
@@ -57,48 +60,56 @@ class KpzResult:
     trace: list = field(default_factory=list)  # (iteration, residual) pairs
 
 
-def _nonlinearity(W: SpectralField, prob: KpzProblem) -> SpectralField:
-    """|grad W|^2 - grad W . grad V, with dealiased products."""
+def nonlinearity(W: SpectralField, V: SpectralField) -> SpectralField:
+    """|grad W|^2 - grad W . grad V = sum_l d_l W . d_l(W - V), dealiased."""
     gw = grad(W)
+    gu = gw if l2_norm(V) == 0.0 else grad(W - V)
     acc = zero_field(W.grid)
-    for c in gw:
-        acc = acc + pointwise_product(c, c)
-    if l2_norm(prob.V) > 0.0:
-        gv = grad(prob.V)
-        for cw, cv in zip(gw, gv):
-            acc = acc - pointwise_product(cw, cv)
+    for a, b in zip(gw, gu):
+        acc = acc + pointwise_product(a, b)
     return acc
 
 
-def kpz_map(W: SpectralField, prob: KpzProblem) -> SpectralField:
-    """One Picard step (lam - Delta)^{-1}(|grad W|^2 - grad W.grad V - xi)."""
+def _step(W: SpectralField, nonlin: SpectralField, prob: KpzProblem) -> SpectralField:
+    """(lam - Delta)^{-1}(nonlin - xi), nonlin the nonlinearity at W."""
     h1 = sobolev_norm(W, 1.0)
     if not np.isfinite(h1) or h1 > 1e8:
         raise SolverDivergenceError(
             f"iterate exploded (H^1 norm {h1:.3g}); try a larger relaxation parameter"
         )
-    rhs = _nonlinearity(W, prob) - prob.xi
+    rhs = nonlin - prob.xi
     g = W.grid
     return field_from_coeffs(g, rhs.coeffs / (prob.lam + 4.0 * np.pi**2 * g.ksq))
 
 
-def kpz_residual(W: SpectralField, prob: KpzProblem) -> float:
-    """L^2 norm of (lam - Delta)W - |grad W|^2 + grad W.grad V + xi."""
+def _residual(W: SpectralField, nonlin: SpectralField, prob: KpzProblem) -> float:
     g = W.grid
     lhs = field_from_coeffs(g, (prob.lam + 4.0 * np.pi**2 * g.ksq) * W.coeffs)
-    return l2_norm(lhs - _nonlinearity(W, prob) + prob.xi)
+    return l2_norm(lhs - nonlin + prob.xi)
+
+
+def kpz_map(W: SpectralField, prob: KpzProblem) -> SpectralField:
+    """One Picard step (lam - Delta)^{-1}(|grad W|^2 - grad W.grad V - xi)."""
+    return _step(W, nonlinearity(W, prob.V), prob)
+
+
+def kpz_residual(W: SpectralField, prob: KpzProblem) -> float:
+    """L^2 norm of (lam - Delta)W - |grad W|^2 + grad W.grad V + xi."""
+    return _residual(W, nonlinearity(W, prob.V), prob)
 
 
 def solve_kpz(prob: KpzProblem) -> KpzResult:
     """Picard iteration from W = 0 until the residual drops below tol."""
     W = zero_field(prob.xi.grid)
+    nonlin = nonlinearity(W, prob.V)
     trace = []
     for it in range(1, prob.max_iter + 1):
         try:
-            W = kpz_map(W, prob)
+            W = _step(W, nonlin, prob)
         except SolverDivergenceError as exc:
             raise SolverDivergenceError(f"{exc} (at iteration {it})") from None
-        res = kpz_residual(W, prob)
+        nonlin = nonlinearity(W, prob.V)
+        res = _residual(W, nonlin, prob)
         trace.append((it, res))
         if res <= prob.tol:
             return KpzResult(W, it, res, trace)

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, DataError, ResolutionError
-from .kpz import KpzProblem, auto_lambda, solve_kpz
+from .kpz import KpzProblem, auto_lambda, nonlinearity, solve_kpz
 from .lp import random_field_with_decay
 from .torus import (
     Grid,
@@ -39,7 +39,6 @@ from .torus import (
     field_from_coeffs,
     grad,
     l2_norm,
-    pointwise_product,
     read_pcf1,
     to_spectral,
     write_pcf1,
@@ -143,17 +142,8 @@ class EnhancedData:
     def kpz_residual(self) -> float:
         g = self.grid
         lhs = field_from_coeffs(g, (1.0 + 4.0 * np.pi**2 * g.ksq) * self.W.coeffs)
-        grad_sq = zero_field(g)
-        gw = grad(self.W)
-        for c in gw:
-            grad_sq = grad_sq + pointwise_product(c, c)
-        cross = zero_field(g)
-        if l2_norm(self.V) > 0:
-            for cw, cv in zip(gw, grad(self.V)):
-                cross = cross + pointwise_product(cw, cv)
-        expr = (lhs - grad_sq + cross + self.xi
-                + constant_field(g, self.c_eps) - self.Z)
-        return l2_norm(expr)
+        return l2_norm(lhs - nonlinearity(self.W, self.V) + self.xi
+                       + constant_field(g, self.c_eps) - self.Z)
 
     def validate(self, tol_kpz: float = 1e-9, tol_div: float = 1e-10) -> None:
         div_norm = l2_norm(div(list(self.rho)))
@@ -227,10 +217,7 @@ def enhance_anderson2d(g: Grid, eps: float, seed: int,
     xi = mollify(sample_white_noise(g, seed), eps)
     W = field_from_coeffs(g, -xi.coeffs / (1.0 + 4.0 * np.pi**2 * g.ksq))
     c = wick_constant(g, eps)
-    grad_sq = zero_field(g)
-    for comp in grad(W):
-        grad_sq = grad_sq + pointwise_product(comp, comp)
-    Z = constant_field(g, c) - grad_sq
+    Z = constant_field(g, c) - nonlinearity(W, zero_field(g))
     zerov = tuple(zero_field(g) for _ in range(g.d))
     data = EnhancedData(
         eps=eps, xi=xi, V=zero_field(g), rho=zerov, W=W, Z=Z, c_eps=c,

@@ -36,10 +36,13 @@ it has settled, capped at power_iters x restarts steps.
 
 The modified potential Z~^M is the exact zeroth-order coefficient of the
 conjugated operator (see operators.apply_A_tilde), so the paracontrolled
-subtraction inside Phi matches the conjugation identically:
+subtraction inside Phi matches the conjugation identically; by bilinearity
+of the product, the second form takes d products instead of 3d:
 
     Z~^M = e^{P>M(V+2W)} ( Z - W + Delta P<=M W + |grad W|^2
-           - |grad P>M W|^2 - grad V . grad P<=M W ) + (e^{P>M(V+2W)} - 1).
+           - |grad P>M W|^2 - grad V . grad P<=M W ) + (e^{P>M(V+2W)} - 1)
+         = e^{P>M(V+2W)} ( Z - W + Delta P<=M W
+           + grad P<=M W . grad(W + P>M W - V) ) + (e^{P>M(V+2W)} - 1).
 
 All inverses are geometric series of certified contractions, truncated
 at a 1e-12 relative increment or 60 terms.  The stack is a frozen value
@@ -79,7 +82,6 @@ from .torus import (
     exp_field,
     field_from_coeffs,
     grad,
-    l2_norm,
     laplacian,
     pointwise_product,
     project_frequencies,
@@ -143,12 +145,8 @@ def modified_potential(data: EnhancedData, M: int, e_pv2w: SpectralField):
     Wp = project_frequencies(data.W, M, "high")
     Wq = data.W - Wp
     inner = data.Z - data.W + laplacian(Wq)
-    for c_full, c_high in zip(grad(data.W), grad(Wp)):
-        inner = inner + pointwise_product(c_full, c_full) \
-            - pointwise_product(c_high, c_high)
-    if l2_norm(data.V) > 0.0:
-        for cv, cq in zip(grad(data.V), grad(Wq)):
-            inner = inner - pointwise_product(cv, cq)
+    for cq, cu in zip(grad(Wq), grad(data.W + Wp - data.V)):
+        inner = inner + pointwise_product(cq, cu)
     return pointwise_product(e_pv2w, inner) + (e_pv2w - constant_field(g, 1.0))
 
 
@@ -375,8 +373,10 @@ _EXP_NAMES = ("e_pw", "e_pw_inv", "e_pwv", "e_pwv_inv", "e_pv2w")
 # r2c-2 took its products and exponentials from complex FFTs; r2c-3
 # measured the operator norms by power iteration (other certificates);
 # r2c-4 ran every dealiased product on the doubled grid 2n and each
-# product of a sum in its own transforms (certificates moved at round-off).
-KERNEL_VERSION = "r2c-5"
+# product of a sum in its own transforms (certificates moved at round-off);
+# r2c-5 formed Z~^M from 3d products, not d (the same).  The factored KPZ
+# nonlinearity needs no stamp: verify_stack reloads W, never solves for it.
+KERNEL_VERSION = "r2c-6"
 
 
 def _certificates(stack: TransformStack) -> dict[str, float]:

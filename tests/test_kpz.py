@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from paratorus import kpz
 from paratorus.errors import ConfigurationError, SolverDivergenceError
 from paratorus.kpz import (
     KpzProblem,
@@ -8,6 +9,7 @@ from paratorus.kpz import (
     check_smoothing,
     kpz_map,
     kpz_residual,
+    nonlinearity,
     solve_kpz,
 )
 from paratorus.lp import BesovIndex, besov_norm, build_partition
@@ -25,6 +27,17 @@ from paratorus.torus import (
 )
 
 
+def grad_sq_and_cross(W, V):
+    """|grad W|^2 and grad W . grad V, each as d separate dealiased products:
+    the reference for the factored nonlinearity."""
+    grad_sq = zero_field(W.grid)
+    cross = zero_field(W.grid)
+    for a, b in zip(grad(W), grad(V)):
+        grad_sq = grad_sq + pointwise_product(a, a)
+        cross = cross + pointwise_product(a, b)
+    return grad_sq, cross
+
+
 def manufactured_problem(g, lam=2.0, amplitude=0.5, seed=0):
     """Choose W* smooth, then xi := -(lam - Delta)W* + |grad W*|^2 - grad W*.grad V
     makes W* an exact fixed point."""
@@ -36,14 +49,47 @@ def manufactured_problem(g, lam=2.0, amplitude=0.5, seed=0):
     )
     V = to_spectral(0.2 * np.cos(2 * np.pi * mesh[1]), g)
     lamW = field_from_coeffs(g, (lam + 4 * np.pi**2 * g.ksq) * W_star.coeffs)
-    gw, gv = grad(W_star), grad(V)
-    grad_sq = zero_field(g)
-    cross = zero_field(g)
-    for a, b in zip(gw, gv):
-        grad_sq = grad_sq + pointwise_product(a, a)
-        cross = cross + pointwise_product(a, b)
+    grad_sq, cross = grad_sq_and_cross(W_star, V)
     xi = -1.0 * lamW + grad_sq - cross
     return KpzProblem(xi, V, lam, tol=1e-11), W_star
+
+
+def reference_solve(prob):
+    """The Picard loop as kpz_map, then kpz_residual, at every step."""
+    W = zero_field(prob.xi.grid)
+    trace = []
+    for it in range(1, prob.max_iter + 1):
+        W = kpz_map(W, prob)
+        trace.append((it, kpz_residual(W, prob)))
+        if trace[-1][1] <= prob.tol:
+            return W, it, trace
+    raise AssertionError("reference Picard loop did not converge")
+
+
+@pytest.fixture(scope="module")
+def generic_data():
+    g = grid(2, 32)
+    return enhance_generic(NoiseSpec("generic_I", seed=1, amplitude=2.0), g, 2.0**-3)
+
+
+class TestNonlinearity:
+    def test_matches_two_product_form(self, generic_data):
+        W, V = generic_data.W, generic_data.V
+        assert l2_norm(V) > 0.0
+        grad_sq, cross = grad_sq_and_cross(W, V)
+        want = grad_sq - cross
+        assert l2_norm(nonlinearity(W, V) - want) <= 1e-14 * l2_norm(want)
+
+    def test_zero_V_sums_the_squares(self, generic_data):
+        W = generic_data.W
+        want = zero_field(W.grid)
+        for c in grad(W):
+            want = want + pointwise_product(c, c)
+        assert np.array_equal(nonlinearity(W, zero_field(W.grid)).coeffs, want.coeffs)
+
+    def test_zero_W_exact(self, generic_data):
+        out = nonlinearity(zero_field(generic_data.grid), generic_data.V)
+        assert not np.any(out.coeffs)
 
 
 class TestKpzMap:
@@ -115,15 +161,35 @@ class TestSolve:
         result = solve_kpz(prob)
         # independent re-evaluation of all terms
         lamW = field_from_coeffs(g, (prob.lam + 4 * np.pi**2 * g.ksq) * result.W.coeffs)
-        gw = grad(result.W)
-        grad_sq = zero_field(g)
-        for c in gw:
-            grad_sq = grad_sq + pointwise_product(c, c)
-        cross = zero_field(g)
-        for a, b in zip(gw, grad(prob.V)):
-            cross = cross + pointwise_product(a, b)
+        grad_sq, cross = grad_sq_and_cross(result.W, prob.V)
         res = l2_norm(lamW - grad_sq + cross + prob.xi)
         assert abs(res - result.residual) <= 1e-13 * max(1.0, result.residual)
+
+    @pytest.mark.parametrize("case", ["manufactured", "generic_I"])
+    def test_one_nonlinearity_per_step(self, case, generic_data, monkeypatch):
+        # the nonlinearity at W_k gives both W_k's residual and W_{k+1}:
+        # the same iterates and residuals as kpz_map then kpz_residual, from
+        # d products per step (and d at W_0) instead of 4d
+        if case == "manufactured":
+            prob, _ = manufactured_problem(grid(2, 64))
+        else:
+            prob = KpzProblem(generic_data.xi, generic_data.V, generic_data.lam)
+        assert l2_norm(prob.V) > 0.0
+        W_ref, iterations, trace = reference_solve(prob)
+        calls = []
+        product = kpz.pointwise_product
+
+        def counted(f, h):
+            calls.append(1)
+            return product(f, h)
+
+        monkeypatch.setattr(kpz, "pointwise_product", counted)
+        result = solve_kpz(prob)
+        assert result.iterations == iterations
+        assert np.array_equal(result.W.coeffs, W_ref.coeffs)
+        assert result.trace == trace
+        assert result.residual == trace[-1][1]
+        assert len(calls) == prob.xi.grid.d * (iterations + 1)
 
     def test_tolerance_monotone(self):
         g = grid(2, 64)

@@ -20,9 +20,15 @@ from paratorus.linops import (
 from paratorus.lp import build_partition, random_field_with_decay
 from paratorus.noise import NoiseSpec, enhance_anderson2d, enhance_generic, zero_data
 from paratorus.torus import (
+    constant_field,
+    exp_field,
     field_from_coeffs,
+    grad,
     grid,
     l2_norm,
+    laplacian,
+    pointwise_product,
+    project_frequencies,
     sobolev_norm,
     sobolev_scale,
     to_spectral,
@@ -40,6 +46,7 @@ from paratorus.transforms import (
     build_stack,
     choose_cutoffs,
     exponential_certificates,
+    modified_potential,
     save_stack,
     verify_stack,
 )
@@ -101,6 +108,43 @@ class TestZeroData:
             zero_stack.N = 1
         with pytest.raises(TypeError):
             zero_stack.cert_upsilon[0.0] = 1.0
+
+
+def expanded_modified_potential(data, M, e_pv2w):
+    """Z~^M with |grad W|^2 - |grad P>M W|^2 - grad V . grad P<=M W written
+    out as 3d dealiased products: the reference for the factored form."""
+    g = data.grid
+    Wp = project_frequencies(data.W, M, "high")
+    Wq = data.W - Wp
+    inner = data.Z - data.W + laplacian(Wq)
+    for c_full, c_high in zip(grad(data.W), grad(Wp)):
+        inner = inner + pointwise_product(c_full, c_full) \
+            - pointwise_product(c_high, c_high)
+    for cv, cq in zip(grad(data.V), grad(Wq)):
+        inner = inner - pointwise_product(cv, cq)
+    return pointwise_product(e_pv2w, inner) + (e_pv2w - constant_field(g, 1.0))
+
+
+@pytest.mark.parametrize("name", ["drift_stack", "anderson_stack"])
+def test_modified_potential_matches_expanded_form(request, name):
+    stack = request.getfixturevalue(name)
+    data = stack.data
+    for M in range(stack.partition.j_max + 1):
+        e_pv2w = exp_field(project_frequencies(data.V, M, "high")
+                           + 2.0 * project_frequencies(data.W, M, "high"))
+        want = expanded_modified_potential(data, M, e_pv2w)
+        got = modified_potential(data, M, e_pv2w)
+        assert l2_norm(got - want) <= 1e-14 * l2_norm(want)
+    assert np.array_equal(stack.Z_tilde_M.coeffs,
+                          modified_potential(data, stack.M, stack.e_pv2w).coeffs)
+
+
+def test_modified_potential_of_zero_data_is_zero(zero_stack):
+    assert not np.any(zero_stack.Z_tilde_M.coeffs)
+    g = zero_stack.grid
+    for M in (0, 2):
+        assert not np.any(modified_potential(zero_stack.data, M,
+                                             constant_field(g, 1.0)).coeffs)
 
 
 class TestCertificates:
@@ -443,13 +487,13 @@ class TestPersistence:
                            match=f"no kernel stamp.*{KERNEL_VERSION}"):
             verify_stack(tmp_path / "stack")
 
-    @pytest.mark.parametrize("stamp", ["r2c-1", "r2c-2", "r2c-3", "r2c-4"])
+    @pytest.mark.parametrize("stamp", ["r2c-1", "r2c-2", "r2c-3", "r2c-4", "r2c-5"])
     def test_previous_stamp_refused(self, anderson_stack, tmp_path, stamp):
         # r2c-1 stacks certified the nested Phi, so their cert_phi means
         # another norm; r2c-2 stacks took their exponentials from complex
-        # FFTs, r2c-3 stacks measured their norms by power iteration, and
-        # r2c-4 stacks ran their products on the doubled grid, so none
-        # re-verifies bit for bit
+        # FFTs, r2c-3 stacks measured their norms by power iteration,
+        # r2c-4 stacks ran their products on the doubled grid, and r2c-5
+        # stacks formed Z~^M from 3d products, so none re-verifies bit for bit
         save_stack(anderson_stack, tmp_path / "stack")
         path = tmp_path / "stack" / "stack_meta"
         meta = path.read_text().replace(f"kernel={KERNEL_VERSION}\n", f"kernel={stamp}\n")
