@@ -82,9 +82,7 @@ class TestNonlinearity:
 
     def test_zero_V_sums_the_squares(self, generic_data):
         W = generic_data.W
-        want = zero_field(W.grid)
-        for c in grad(W):
-            want = want + pointwise_product(c, c)
+        want, _ = grad_sq_and_cross(W, zero_field(W.grid))
         assert np.array_equal(nonlinearity(W, zero_field(W.grid)).coeffs, want.coeffs)
 
     def test_zero_W_exact(self, generic_data):
