@@ -62,10 +62,8 @@ class KpzResult:
 
 def nonlinearity(W: SpectralField, V: SpectralField) -> SpectralField:
     """|grad W|^2 - grad W . grad V = sum_l d_l W . d_l(W - V), dealiased."""
-    gw = grad(W)
-    gu = gw if l2_norm(V) == 0.0 else grad(W - V)
     acc = zero_field(W.grid)
-    for a, b in zip(gw, gu):
+    for a, b in zip(grad(W), grad(W - V)):
         acc = acc + pointwise_product(a, b)
     return acc
 

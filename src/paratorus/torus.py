@@ -501,8 +501,7 @@ def constant_value(coeffs: np.ndarray) -> float | None:
 def pointwise_product(f: SpectralField, g: SpectralField) -> SpectralField:
     """Dealiased product: evaluated on the zero-padded product grid
     (`product_size`), where it is exact, and truncated back.  A constant
-    factor multiplies the other exactly, without transforms, and a square
-    (g is f) transforms its factor once."""
+    factor multiplies the other exactly, without transforms."""
     _check_same_grid(f, g)
     for const, other in ((f, g), (g, f)):
         c = constant_value(const.coeffs)
@@ -510,8 +509,7 @@ def pointwise_product(f: SpectralField, g: SpectralField) -> SpectralField:
             return field_from_coeffs(f.grid, c * other.coeffs)
     n = f.grid.n
     m = product_size(n)
-    fv = _padded_values(f.coeffs, n, m)
-    prod = fv * (fv if g is f else _padded_values(g.coeffs, n, m))
+    prod = _padded_values(f.coeffs, n, m) * _padded_values(g.coeffs, n, m)
     return field_from_coeffs(f.grid, _band_limited(prod, n))
 
 

@@ -374,8 +374,9 @@ _EXP_NAMES = ("e_pw", "e_pw_inv", "e_pwv", "e_pwv_inv", "e_pv2w")
 # measured the operator norms by power iteration (other certificates);
 # r2c-4 ran every dealiased product on the doubled grid 2n and each
 # product of a sum in its own transforms (certificates moved at round-off);
-# r2c-5 formed Z~^M from 3d products, not d (the same).  The factored KPZ
-# nonlinearity needs no stamp: verify_stack reloads W, never solves for it.
+# r2c-5 formed Z~^M from 3d products, not d (certificates moved at
+# round-off).  The factored KPZ nonlinearity needs no stamp: verify_stack
+# reloads W, never solves for it.
 KERNEL_VERSION = "r2c-6"
 
 

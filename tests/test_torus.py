@@ -304,24 +304,6 @@ class TestPointwiseProduct:
         expected = convolution_oracle(g, f.coeffs, h.coeffs)
         assert np.max(np.abs(prod.coeffs - expected)) < 1e-12
 
-    def test_square_transforms_factor_once(self, monkeypatch):
-        g = grid(2, 16)
-        f = to_spectral(np.random.default_rng(13).standard_normal(g.shape), g)
-        copy = torus.SpectralField(g, f.coeffs.copy())
-        calls = []
-        irfftn = np.fft.irfftn
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return irfftn(*args, **kwargs)
-
-        monkeypatch.setattr(np.fft, "irfftn", counted)
-        square = pointwise_product(f, f)
-        assert len(calls) == 1
-        product = pointwise_product(f, copy)
-        assert len(calls) == 3
-        assert np.array_equal(square.coeffs, product.coeffs)
-
     def test_grid_mismatch(self):
         f = to_spectral(np.ones((16, 16)), grid(2, 16))
         h = to_spectral(np.ones((32, 32)), grid(2, 32))
