@@ -19,7 +19,9 @@ index 0..n/2) and returns its Hermitian completion, so the other half of
 the input is never read: the operators act on Hermitian coefficient
 arrays, the coefficients of real fields, and are linear over the reals.
 Solvers and eigen iterations that use them must therefore combine
-vectors with real scalars only.
+vectors with real scalars only.  The engine reads and writes the kept
+modes only (`torus`: zero Nyquist planes), so a multiplication by a real
+field is exactly symmetric.
 
 The inner product throughout is the plain l^2 product of coefficient
 arrays, which by the transform normalization equals the grid-mean L^2
@@ -132,8 +134,8 @@ def field_products_op(g: Grid, terms) -> LinOp:
 
 def mult_field_op(g: Grid, coeffs: Array) -> LinOp:
     """Dealiased multiplication by the real field with the given coefficients
-    (one term of field_products_op).  Self-adjoint up to the Nyquist-edge
-    weight bookkeeping, which the adjoint handles exactly."""
+    (one term of field_products_op), truncated to the kept modes: a
+    symmetric operator, whose adjoint runs the same code."""
     return field_products_op(g, [(coeffs, None, None)])
 
 

@@ -91,6 +91,8 @@ def wick_constant(g: Grid, eps: float, mollifier=heat_mollifier) -> float:
     m2 = mollifier(eps, g.ksq) ** 2
     terms = 4.0 * np.pi**2 * g.ksq * m2 / (1.0 + 4.0 * np.pi**2 * g.ksq) ** 2
     terms[(0,) * g.d] = 0.0
+    for plane in g.nyquist:  # modes no field keeps
+        terms[plane] = 0.0
     return float(np.sum(terms))
 
 
@@ -98,20 +100,17 @@ def helmholtz_project(v: list[SpectralField]) -> list[SpectralField]:
     """Fourier-side projection onto divergence-free fields:
     vhat(k) -> (I - k k^T / |k|^2) vhat(k) for k != 0; the mean is kept.
 
-    Built on the derivative-convention frequencies (zero at the Nyquist
-    edge), so the output is exactly divergence-free and the projector is
-    idempotent."""
+    The output is exactly divergence-free and the projector idempotent,
+    the Nyquist planes, where the frequencies are not those of a real
+    derivative, being zero."""
     g = v[0].grid
     if len(v) != g.d:
         raise ConfigurationError(f"expected {g.d} components, got {len(v)}")
-    ktil = [s / (-2j * np.pi) for s in g.deriv_symbols]  # real-valued arrays
-    ktil = [np.broadcast_to(k.real, g.shape) for k in ktil]
-    ksq = sum(k**2 for k in ktil)
-    safe = np.where(ksq > 0, ksq, 1.0)
-    dot = sum(k * comp.coeffs for k, comp in zip(ktil, v))
+    safe = np.where(g.ksq > 0, g.ksq, 1.0)
+    dot = sum(k * comp.coeffs for k, comp in zip(g.kaxes, v))
     out = []
-    for k, comp in zip(ktil, v):
-        proj = comp.coeffs - np.where(ksq > 0, k * dot / safe, 0.0)
+    for k, comp in zip(g.kaxes, v):
+        proj = comp.coeffs - np.where(g.ksq > 0, k * dot / safe, 0.0)
         out.append(field_from_coeffs(g, proj))
     return out
 

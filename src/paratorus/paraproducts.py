@@ -24,6 +24,15 @@ and keeps its private name because benchmark tooling patches it by that
 name.  Like `torus.pointwise_product` it transforms through
 `torus.reflected_values`/`reflected_spectrum`, so every dealiased product
 of the package runs the same real FFTs.
+
+A block moves its input to the m-lattice and the product back by copying
+the modes both lattices keep (`torus.resample_half`), so the move back is
+the adjoint of the move there, and the engine's adjoint runs the same
+moves with the symbols swapped.  The Nyquist planes of every lattice,
+the n-lattice of the output included, stay zero.  On a paraproduct block
+grid m < n this drops nothing: the block's symbols vanish at |k| >= m/2
+(the Littlewood-Paley supports reach 8/3 and 16/3 of 2^j against
+m/2 = 4 and 8 of 2^j), and so does the product.
 """
 
 from __future__ import annotations
@@ -45,8 +54,6 @@ from .torus import (
     resample_half,
 )
 
-_WHICH = ("prec", "succ", "reso", "preceq", "succeq")
-
 
 def bony_decompose(
     f: SpectralField, g: SpectralField, P: DyadicPartition
@@ -60,25 +67,6 @@ def bony_decompose(
     res = ResonantPara(P, f.coeffs).apply(g.coeffs)
     hi = LowSidePara(P, g.coeffs).apply(f.coeffs)
     return tuple(field_from_coeffs(f.grid, c) for c in (lo, res, hi))
-
-
-def para_apply(
-    f: SpectralField, g: SpectralField, which: str, P: DyadicPartition
-) -> SpectralField:
-    """Select components of the decomposition; 'preceq' = prec + reso,
-    'succeq' = reso + succ."""
-    if which not in _WHICH:
-        raise ConfigurationError(f"which must be one of {_WHICH}, got {which!r}")
-    lo, res, hi = bony_decompose(f, g, P)
-    if which == "prec":
-        return lo
-    if which == "succ":
-        return hi
-    if which == "reso":
-        return res
-    if which == "preceq":
-        return lo + res
-    return res + hi
 
 
 # ---------------------------------------------------------------------------
@@ -133,13 +121,12 @@ class _FixedSidePara:
     w -> sum conj(b)(D) [(a(D) fixed) * (conj(c)(D) w)], the cached
     factors being real.
 
-    A block with m <= n folds its inputs onto the m-lattice and splits the
-    product back; one with m > n splits its inputs and folds the product.
-    The symbols act on the smaller of the two lattices, where the Nyquist
-    pairs they multiply share one value.  A sum of blocks runs in one
-    transform pass: one inverse transform per (m, input symbol), one
-    forward transform per (m, output symbol), all adding into one half
-    spectrum that is completed to the full Hermitian array once per call.
+    A block copies the modes its m-lattice and the n-lattice both keep,
+    to the m-lattice and back, and its symbols act on the smaller of the
+    two lattices.  A sum of blocks runs in one transform pass: one inverse
+    transform per (m, input symbol), one forward transform per (m, output
+    symbol), all adding into one half spectrum that is completed to the
+    full Hermitian array once per call.
     """
 
     def __init__(self, g: Grid, blocks):
@@ -153,14 +140,14 @@ class _FixedSidePara:
 
         blocks = list(blocks)
         cached = [reflected_values(resample_half(
-            b.fixed, n, b.m, 0.5, 1.0, half(b.m, b.fixed_sym)), b.m) for b in blocks]
+            b.fixed, n, b.m, half(b.m, b.fixed_sym)), b.m) for b in blocks]
         self._forward = _plan(blocks, "in_sym", "out_sym", half, cached)
         self._backward = _plan(blocks, "out_sym", "in_sym",
                                lambda m, s: half(m, s, conj=True), cached)
 
-    def _run(self, plan, coeffs: np.ndarray, split: float, fold: float) -> np.ndarray:
+    def _run(self, plan, coeffs: np.ndarray) -> np.ndarray:
         n, (inputs, outputs) = self.n, plan
-        vals = [reflected_values(resample_half(coeffs, n, m, split, fold, sym), m)
+        vals = [reflected_values(resample_half(coeffs, n, m, sym), m)
                 for m, sym in inputs]
         out = None
         for m, sym, terms, done in outputs:
@@ -170,16 +157,16 @@ class _FixedSidePara:
             # free the inputs used up before the forward transform allocates
             for i in done:
                 vals[i] = None
-            out = resample_half(reflected_spectrum(phys), m, n, split, fold, sym, out)
+            out = resample_half(reflected_spectrum(phys), m, n, sym, out)
         return full_spectrum(out, n)
 
     def apply(self, coeffs: np.ndarray) -> np.ndarray:
-        return self._run(self._forward, coeffs, 0.5, 1.0)
+        return self._run(self._forward, coeffs)
 
     def adjoint(self, coeffs: np.ndarray) -> np.ndarray:
         # the real transforms' normalizations cancel around the real
         # physical factor, leaving the mirrored composition
-        return self._run(self._backward, coeffs, 1.0, 0.5)
+        return self._run(self._backward, coeffs)
 
 
 class LowSidePara(_FixedSidePara):

@@ -9,20 +9,27 @@ integer lattice k in {-n/2+1, ..., n/2}^d kept in FFT layout
 
 so a constant maps to the k=0 coefficient unchanged, the first
 derivative along axis j is the symbol -2 pi i k_j, and Parseval reads
-sum |hat(u)(k)|^2 = grid mean of u^2.  Odd-derivative symbols are set
-to zero at self-conjugate (Nyquist-edge) frequencies so that every
-built-in multiplier maps real fields to real fields.
+sum |hat(u)(k)|^2 = grid mean of u^2.
+
+Every field has zero entries on the Nyquist planes k_i = n/2: the kept
+modes are |k_i| <= n/2 - 1.  `Grid.hermitian_part`, which every
+constructor calls, zeroes those planes, every product and exponential
+truncates to the kept modes, and `read_pcf1` refuses a file with a
+non-zero entry there.  So no entry is self-conjugate but k = 0, every
+Fourier symbol maps real fields to real fields, and moving between
+lattices copies the modes both keep, in either direction: the two moves
+are each other's adjoints, and a dealiased product is symmetric.
 
 Every transform is a real FFT on half spectra (last-axis index 0..n/2).
 `reflected_values`/`reflected_spectrum` hold its normalization and sign,
 which list a field's values at -x: products and `exp_field` commute with
 that, `to_physical` and `to_spectral` conjugate.  A quadratic product
 runs on the product grid `product_size(n)`, the smallest grid on which
-it is alias-free (Orszag's 3/2 rule, with +2 for the split Nyquist
-entries, rounded up to a fast FFT size); `exp_field`, whose integrand is
-not band-limited, keeps the doubled grid 2n.  The package does not call
-`split_lattice`/`fold_lattice`; they serve as the tests' complex
-reference and as names the benchmark tracer binds.
+it is alias-free (Orszag's 3/2 rule, rounded up to a fast FFT size);
+`exp_field`, whose integrand is not band-limited, keeps the doubled grid
+2n.  The package does not call `split_lattice`/`fold_lattice`; they
+serve as the tests' complex reference and as names the benchmark tracer
+binds.
 
 All operations are pure functions of immutable values and are safe to
 call concurrently; nothing here caches FFT state.
@@ -74,13 +81,9 @@ class Grid:
         self.kabs = np.sqrt(self.ksq)
         rev = (-np.arange(n)) % n
         self._rev_ix = np.ix_(*([rev] * d))
-        # derivative symbols with the self-conjugate entry zeroed
-        nyq = np.where(np.abs(freqs) == n // 2, 0.0, freqs)
-        self.deriv_symbols = [
-            (-2j * np.pi)
-            * nyq.reshape([n if a == ax else 1 for a in range(d)])
-            for ax in range(d)
-        ]
+        # index of the Nyquist plane k_i = n/2, one per axis
+        self.nyquist = tuple((slice(None),) * ax + (n // 2,) for ax in range(d))
+        self.deriv_symbols = [(-2j * np.pi) * ka for ka in self.kaxes]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Grid) and (self.d, self.n) == (other.d, other.n)
@@ -100,7 +103,12 @@ class Grid:
         return list(np.meshgrid(*self.axes(), indexing="ij"))
 
     def hermitian_part(self, coeffs: np.ndarray) -> np.ndarray:
-        return 0.5 * (coeffs + np.conj(coeffs[self._rev_ix]))
+        """The coefficients of the real part of the field, Nyquist planes
+        zeroed."""
+        out = 0.5 * (coeffs + np.conj(coeffs[self._rev_ix]))
+        for plane in self.nyquist:
+            out[plane] = 0.0
+        return out
 
     def sobolev_symbol(self, s: float) -> np.ndarray:
         return (1.0 + 4.0 * np.pi**2 * self.ksq) ** (s / 2.0)
@@ -185,7 +193,8 @@ def constant_field(g: Grid, value: float) -> SpectralField:
 
 
 def to_spectral(u: np.ndarray, g: Grid) -> SpectralField:
-    """Forward transform of the samples' real part (the integral as a grid mean)."""
+    """Forward transform of the samples' real part (the integral as a grid
+    mean), its Nyquist planes dropped."""
     u = np.asarray(u, np.float64)
     if u.shape != g.shape:
         raise ConfigurationError(
@@ -275,136 +284,99 @@ def project_frequencies(f: SpectralField, L: int, side: str) -> SpectralField:
 
 
 # ---------------------------------------------------------------------------
-# lattice embedding / restriction (the dealiasing machinery)
+# moving between lattices (the dealiasing machinery): copy the modes both
+# lattices keep, |k_i| <= min(n_src, n_dst)/2 - 1, and zero the rest
 
-def split_axis(arr: np.ndarray, axis: int, n_src: int, n_dst: int,
-               weight: float) -> np.ndarray:
-    """Grow one axis from n_src to n_dst, placing weight*Nyquist at +-n_src/2."""
+def split_axis(arr: np.ndarray, axis: int, n_src: int, n_dst: int) -> np.ndarray:
+    """Grow one axis from n_src to n_dst, dropping the Nyquist index n_src/2."""
     shape = list(arr.shape)
     shape[axis] = n_dst
     out = np.zeros(shape, arr.dtype)
     ix = lambda i: tuple(i if a == axis else slice(None) for a in range(arr.ndim))
     h = n_src // 2
     out[ix(slice(0, h))] = arr[ix(slice(0, h))]
-    ny = arr[ix(h)] * weight
-    out[ix(h)] = ny
-    out[ix(n_dst - h)] = ny
     out[ix(slice(n_dst - h + 1, n_dst))] = arr[ix(slice(h + 1, n_src))]
     return out
 
 
-def fold_axis(arr: np.ndarray, axis: int, n_src: int, n_dst: int,
-              weight: float) -> np.ndarray:
-    """Shrink one axis from n_src to n_dst, folding the Nyquist pair."""
+def fold_axis(arr: np.ndarray, axis: int, n_src: int, n_dst: int) -> np.ndarray:
+    """Shrink one axis from n_src to n_dst, zeroing the Nyquist index n_dst/2."""
     shape = list(arr.shape)
     shape[axis] = n_dst
-    out = np.empty(shape, arr.dtype)
+    out = np.zeros(shape, arr.dtype)
     ix = lambda i: tuple(i if a == axis else slice(None) for a in range(arr.ndim))
     h = n_dst // 2
     out[ix(slice(0, h))] = arr[ix(slice(0, h))]
-    out[ix(h)] = weight * (arr[ix(h)] + arr[ix(n_src - h)])
     out[ix(slice(h + 1, n_dst))] = arr[ix(slice(n_src - h + 1, n_src))]
     return out
 
 
-def split_lattice(coeffs: np.ndarray, n_src: int, n_dst: int,
-                  weight: float = 0.5) -> np.ndarray:
-    if n_dst == n_src:
-        return coeffs
+def split_lattice(coeffs: np.ndarray, n_src: int, n_dst: int) -> np.ndarray:
     if n_dst < n_src:
         raise ConfigurationError("split requires n_dst >= n_src")
     out = coeffs
     for axis in range(coeffs.ndim):
-        out = split_axis(out, axis, n_src, n_dst, weight)
+        out = split_axis(out, axis, n_src, n_dst)
     return out
 
 
-def fold_lattice(coeffs: np.ndarray, n_src: int, n_dst: int,
-                 weight: float = 1.0) -> np.ndarray:
-    if n_dst == n_src:
-        return coeffs
+def fold_lattice(coeffs: np.ndarray, n_src: int, n_dst: int) -> np.ndarray:
     if n_dst > n_src:
         raise ConfigurationError("fold requires n_dst <= n_src")
     out = coeffs
     for axis in range(coeffs.ndim):
-        out = fold_axis(out, axis, n_src, n_dst, weight)
+        out = fold_axis(out, axis, n_src, n_dst)
     return out
 
 
 # Half spectra: the entries with last-axis frequency index 0..n/2 of a
 # Hermitian coefficient array, the input and output of numpy's real FFTs.
 # The helpers below act on a half spectrum as split_lattice / fold_lattice
-# act on the full array it stands for; the entries at last-axis index
-# -n/2 that those fold or split are implied by Hermitian symmetry.
+# act on the full array it stands for.
 
 @lru_cache(maxsize=64)
-def _nyquist_weights(n: int, d: int, weight: float) -> np.ndarray:
-    """weight^(number of axes at index n/2) on an n-lattice half spectrum."""
-    h = n // 2
-    w = np.ones((n,) * (d - 1) + (h + 1,))
-    for axis in range(d):
-        w[(slice(None),) * axis + (h,)] *= weight
-    w.flags.writeable = False
-    return w
-
-
-@lru_cache(maxsize=64)
-def _split_pieces(n_small: int, n_big: int, d: int) -> tuple:
-    """(small, big) index pairs of the blocks a split from the n_small to
-    the n_big lattice copies: per leading axis 0..h -> 0..h and
-    h..n_small-1 -> n_big-h..n_big-1, so the Nyquist index h goes to +-h."""
+def _common_modes(n_small: int, n_big: int, d: int) -> tuple:
+    """(small, big) index pairs of the blocks of modes the n_small and the
+    n_big lattice both keep: per leading axis 0..h-1 <-> 0..h-1 and
+    h+1..n_small-1 <-> n_big-h+1..n_big-1, last axis 0..h-1 (h = n_small/2)."""
     h = n_small // 2
-    per_axis = ((slice(0, h + 1), slice(0, h + 1)),
-                (slice(h, n_small), slice(n_big - h, n_big)))
-    last = (slice(0, h + 1),)
+    per_axis = ((slice(0, h), slice(0, h)),
+                (slice(h + 1, n_small), slice(n_big - h + 1, n_big)))
+    last = (slice(0, h),)
     return tuple(
         (tuple(s for s, _ in combo) + last, tuple(b for _, b in combo) + last)
         for combo in itertools.product(per_axis, repeat=d - 1)
     )
 
 
-def add_split_half(out: np.ndarray, half: np.ndarray, n_src: int,
-                   weight: float) -> None:
+def add_split_half(out: np.ndarray, half: np.ndarray, n_src: int) -> None:
     """Add to the larger-lattice half spectrum `out` the half spectrum of
-    split_lattice(full, n_src, n_dst, weight), `half` that of `full`."""
+    split_lattice(full, n_src, n_dst), `half` that of `full`."""
     n_dst = 2 * (out.shape[-1] - 1)
-    if n_dst == n_src:
-        out += half
-        return
-    src = half * _nyquist_weights(n_src, half.ndim, weight)
-    for small, big in _split_pieces(n_src, n_dst, half.ndim):
-        out[big] += src[small]
+    for small, big in _common_modes(n_src, n_dst, half.ndim):
+        out[big] += half[small]
 
 
-def fold_half(arr: np.ndarray, n_src: int, n_dst: int,
-              weight: float) -> np.ndarray:
-    """Half spectrum of fold_lattice(full, n_src, n_dst, weight); `arr` is
-    the half spectrum of `full`, or `full` itself."""
-    h = n_dst // 2
-    if n_dst == n_src:
-        return arr[..., : h + 1]
-    out = np.zeros((n_dst,) * (arr.ndim - 1) + (h + 1,), arr.dtype)
-    for small, big in _split_pieces(n_dst, n_src, arr.ndim):
-        out[small] += arr[big]
-    out *= _nyquist_weights(n_dst, arr.ndim, weight)
-    ny = out[..., h]
-    ny += np.conj(_negate(ny))
+def fold_half(arr: np.ndarray, n_src: int, n_dst: int) -> np.ndarray:
+    """Half spectrum of fold_lattice(full, n_src, n_dst); `arr` is the half
+    spectrum of `full`, or `full` itself."""
+    out = np.zeros((n_dst,) * (arr.ndim - 1) + (n_dst // 2 + 1,), arr.dtype)
+    for small, big in _common_modes(n_dst, n_src, arr.ndim):
+        out[small] = arr[big]
     return out
 
 
-def resample_half(arr: np.ndarray, n_src: int, n_dst: int, split_weight: float,
-                  fold_weight: float, sym: np.ndarray | None = None,
+def resample_half(arr: np.ndarray, n_src: int, n_dst: int,
+                  sym: np.ndarray | None = None,
                   out: np.ndarray | None = None) -> np.ndarray:
-    """Half spectrum on the n_dst lattice of fold_lattice(full, n_src, n_dst,
-    fold_weight) if n_dst <= n_src, else of split_lattice(full, n_src, n_dst,
-    split_weight); `arr` is the half spectrum of `full`, or `full` itself.
+    """Half spectrum on the n_dst lattice of the modes of `full` that both
+    lattices keep; `arr` is the half spectrum of `full`, or `full` itself.
 
     `sym`, a half spectrum on the smaller of the two lattices, multiplies
     there: after a fold, before a split.  With `out` given, the result is
-    added into it and `out` is returned.  Without `out`, n_dst == n_src
-    returns a view of `arr` unless `sym` is given."""
+    added into it and `out` is returned."""
     if n_dst <= n_src:
-        res = fold_half(arr, n_src, n_dst, fold_weight)
+        res = fold_half(arr, n_src, n_dst)
         if sym is not None:
             res = sym * res
         if out is None:
@@ -416,16 +388,8 @@ def resample_half(arr: np.ndarray, n_src: int, n_dst: int, split_weight: float,
         src = sym * src
     if out is None:
         out = np.zeros((n_dst,) * (arr.ndim - 1) + (n_dst // 2 + 1,), np.complex128)
-    add_split_half(out, src, n_src, split_weight)
+    add_split_half(out, src, n_src)
     return out
-
-
-def _negate(arr: np.ndarray) -> np.ndarray:
-    """arr at index -k (mod the axis length) along every axis."""
-    for axis in range(arr.ndim):
-        n = arr.shape[axis]
-        arr = arr.take((-np.arange(n)) % n, axis=axis)
-    return arr
 
 
 def full_spectrum(half: np.ndarray, n: int) -> np.ndarray:
@@ -456,16 +420,15 @@ def reflected_spectrum(vals: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def product_size(n: int) -> int:
     """The grid of the dealiased product of two n-lattice fields: the
-    smallest even 5-smooth m >= 3n/2 + 2.
+    smallest even 5-smooth m >= 3n/2 - 2.
 
-    The product has frequencies in [-n, n] per axis, and on the m-grid
-    the frequency k + m or k - m lands on k; no kept |k| <= n/2 is hit
-    once m > 3n/2.  At m = 3n/2 the products of the split Nyquist entries
-    +-n/2 land on -+n/2, so m is 3n/2 + 2, the next even size, rounded
+    The product has frequencies in [-(n-2), n-2] per axis, and on the
+    m-grid the frequency k + m or k - m lands on k; no kept
+    |k| <= n/2 - 1 is hit once m > 3n/2 - 3.  So m is 3n/2 - 2, rounded
     up to a product of 2, 3 and 5 because the real FFTs are fast there
     (on 2 * 97 = 194 points a 2d round trip takes about four times as
     long as on 200)."""
-    m = 3 * n // 2 + 2
+    m = 3 * n // 2 - 2
     m += m % 2
     while True:
         r = m
@@ -478,15 +441,14 @@ def product_size(n: int) -> int:
 
 
 def _padded_values(coeffs: np.ndarray, n: int, m: int) -> np.ndarray:
-    """reflected_values on the m-grid (m > n), the Nyquist entries split
-    evenly."""
-    return reflected_values(resample_half(coeffs, n, m, 0.5, 1.0), m)
+    """reflected_values on the m-grid (m > n)."""
+    return reflected_values(resample_half(coeffs, n, m), m)
 
 
 def _band_limited(vals: np.ndarray, n: int) -> np.ndarray:
-    """Full n-lattice spectrum of values at -x on a larger grid, Nyquist
-    pairs folded."""
-    return full_spectrum(fold_half(reflected_spectrum(vals), vals.shape[0], n, 1.0), n)
+    """Full n-lattice spectrum, kept modes only, of values at -x on a
+    larger grid."""
+    return full_spectrum(fold_half(reflected_spectrum(vals), vals.shape[0], n), n)
 
 
 def constant_value(coeffs: np.ndarray) -> float | None:
@@ -538,10 +500,11 @@ def write_pcf1(path, f: SpectralField) -> None:
 def read_pcf1(path) -> SpectralField:
     """Read a field written by write_pcf1.  A malformed header raises
     ConfigurationError; a body of the wrong length, with non-finite
-    coefficients or with coefficients that are not exactly Hermitian (the
-    coefficients of a real field) raises DataError.  Both name the file.
-    Every field the package writes is exactly Hermitian, so the check is
-    exact."""
+    coefficients, with coefficients that are not exactly Hermitian (the
+    coefficients of a real field) or with a non-zero entry on a Nyquist
+    plane raises DataError.  Both name the file.  Every field the package
+    writes is exactly Hermitian with zero Nyquist planes, so the checks
+    are exact."""
     with open(path, "rb") as fh:
         header = fh.readline()
         try:
@@ -564,4 +527,7 @@ def read_pcf1(path) -> SpectralField:
     if not np.array_equal(coeffs, np.conj(coeffs[g._rev_ix])):
         raise DataError(f"{path}: coefficients are not Hermitian, so they are "
                         f"not those of a real field")
+    if any(np.any(coeffs[plane]) for plane in g.nyquist):
+        raise DataError(f"{path}: non-zero coefficients on a Nyquist plane "
+                        f"k_i = n/2, which no field keeps")
     return SpectralField(g, np.ascontiguousarray(coeffs.astype(np.complex128)))

@@ -312,34 +312,10 @@ def choose_cutoffs(
 
 
 # ---------------------------------------------------------------------------
-# public application surface
+# Theta and its inverse as maps of fields
 
 def _wrap(stack: TransformStack, coeffs) -> SpectralField:
     return field_from_coeffs(stack.grid, coeffs)
-
-
-def apply_lambda(w: SpectralField, stack: TransformStack,
-                 which: str = "lambda") -> SpectralField:
-    if which not in ("lambda", "lambda_bar"):
-        raise ConfigurationError(f"which must be lambda or lambda_bar, got {which!r}")
-    op = stack.lambda_ if which == "lambda" else stack.lambda_bar
-    return _wrap(stack, op.apply(w.coeffs))
-
-
-def apply_upsilon(w: SpectralField, stack: TransformStack,
-                  which: str = "upsilon", inverse: bool = False) -> SpectralField:
-    if which not in ("upsilon", "upsilon_bar"):
-        raise ConfigurationError(f"which must be upsilon or upsilon_bar, got {which!r}")
-    op = getattr(stack, which + ("_inv" if inverse else ""))
-    return _wrap(stack, op.apply(w.coeffs))
-
-
-def apply_phi(w: SpectralField, stack: TransformStack) -> SpectralField:
-    return _wrap(stack, stack.phi.apply(w.coeffs))
-
-
-def apply_gamma(w_sharp: SpectralField, stack: TransformStack) -> SpectralField:
-    return _wrap(stack, stack.gamma.apply(w_sharp.coeffs))
 
 
 @dataclass
@@ -375,9 +351,11 @@ _EXP_NAMES = ("e_pw", "e_pw_inv", "e_pwv", "e_pwv_inv", "e_pv2w")
 # r2c-4 ran every dealiased product on the doubled grid 2n and each
 # product of a sum in its own transforms (certificates moved at round-off);
 # r2c-5 formed Z~^M from 3d products, not d (certificates moved at
-# round-off).  The factored KPZ nonlinearity needs no stamp: verify_stack
-# reloads W, never solves for it.
-KERNEL_VERSION = "r2c-6"
+# round-off); r2c-6 kept the Nyquist planes k_i = n/2, split and folded
+# them with weights, and ran its products on 3n/2 + 2 points (other
+# fields, products and certificates).  The factored KPZ nonlinearity
+# needed no stamp: verify_stack reloads W, never solves for it.
+KERNEL_VERSION = "r2c-7"
 
 
 def _certificates(stack: TransformStack) -> dict[str, float]:

@@ -5,9 +5,11 @@ products on the product grid (`torus.product_size`, about 3n/2),
 `exp_field` on the 2x-padded grid, `to_physical` and `to_spectral`, and
 the one engine under `mult_field_op`, the per-block paraproducts and
 `bony_decompose`.  The references below evaluate the same maps on the
-full spectrum with complex FFTs, every product on the doubled grid; on
-Hermitian inputs (real fields), including non-zero Nyquist entries, both
-must agree to round-off.  The package itself never calls a complex FFT.
+full spectrum with complex FFTs, every product on the doubled grid and
+truncated to the kept modes |k_i| <= n/2 - 1; on Hermitian inputs (real
+fields) reaching the last kept mode, both must agree to round-off.  The
+package itself never calls a complex FFT, and every field it makes has
+zero Nyquist planes k_i = n/2.
 """
 
 from functools import lru_cache
@@ -17,10 +19,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from paratorus.errors import FieldRangeError
+from paratorus import torus
 from paratorus.linops import mult_field_op, random_hermitian
 from paratorus.lp import build_partition
-from paratorus.noise import NoiseSpec, enhance_anderson2d, enhance_generic
-from paratorus.paraproducts import HighSidePara, LowSidePara, bony_decompose
+from paratorus.noise import (
+    NoiseSpec,
+    enhance_anderson2d,
+    enhance_generic,
+    sample_white_noise,
+)
+from paratorus.paraproducts import (
+    HighSidePara,
+    LowSidePara,
+    ResonantPara,
+    bony_decompose,
+)
 from paratorus.torus import (
     EXP_OVERFLOW_LIMIT,
     add_split_half,
@@ -32,6 +45,7 @@ from paratorus.torus import (
     grid,
     lp_norm,
     pointwise_product,
+    product_size,
     split_lattice,
     to_physical,
     to_spectral,
@@ -50,44 +64,37 @@ def partition(d, n):
     return build_partition(grid(d, n))
 
 
-def hermitian_with_nyquist(g, rng):
+def nyquist_free(x, g):
+    return not any(np.any(x[plane]) for plane in g.nyquist)
+
+
+def full_band(g, rng):
+    """A random real field on every kept mode: non-zero on all (n-1)^d
+    modes |k_i| <= n/2 - 1, zero on the Nyquist planes."""
     x = random_hermitian(g, rng)
-    assert np.all(x[..., g.n // 2] != 0.0)
+    assert np.count_nonzero(x) == (g.n - 1) ** g.d and nyquist_free(x, g)
     return x
 
 
-def embed_coeffs(coeffs, n_src, n_dst):
-    """Embed an n_src-lattice array into an n_dst lattice, splitting the
-    Nyquist entries evenly (value-faithful for real fields)."""
-    return split_lattice(coeffs, n_src, n_dst, weight=0.5)
-
-
-def restrict_coeffs(coeffs, n_src, n_dst):
-    """Restrict an n_src-lattice array to an n_dst lattice, folding the
-    Nyquist pairs (the adjoint of plain zero-extension)."""
-    return fold_lattice(coeffs, n_src, n_dst, weight=1.0)
-
-
 def padded_values(g, a):
-    return np.fft.fftn(embed_coeffs(a, g.n, 2 * g.n)).real
+    return np.fft.fftn(split_lattice(a, g.n, 2 * g.n)).real
 
 
 def ref_product(g, a, b):
     """Exact product of two band-limited coefficient arrays, 2x padded."""
     prod = padded_values(g, a) * padded_values(g, b)
-    return restrict_coeffs(np.fft.ifftn(prod), 2 * g.n, g.n)
+    return fold_lattice(np.fft.ifftn(prod), 2 * g.n, g.n)
 
 
 def ref_exp(g, a):
-    return restrict_coeffs(np.fft.ifftn(np.exp(padded_values(g, a))), 2 * g.n, g.n)
+    return fold_lattice(np.fft.ifftn(np.exp(padded_values(g, a))), 2 * g.n, g.n)
 
 
-def ref_mult(g, f, x, adjoint):
+def ref_mult(g, f, x):
+    """Multiplication by f, a symmetric operator: its own adjoint."""
     m = 2 * g.n
-    phi = padded_values(g, f)
-    w_split, w_fold = (1.0, 0.5) if adjoint else (0.5, 1.0)
-    big = split_lattice(x, g.n, m, weight=w_split)
-    return fold_lattice(np.fft.ifftn(phi * np.fft.fftn(big)), m, g.n, weight=w_fold)
+    prod = padded_values(g, f) * np.fft.fftn(split_lattice(x, g.n, m))
+    return fold_lattice(np.fft.ifftn(prod), m, g.n)
 
 
 def ref_para(P, fixed, x, fixed_sym, moving_sym, adjoint):
@@ -95,15 +102,13 @@ def ref_para(P, fixed, x, fixed_sym, moving_sym, adjoint):
     out = np.zeros(P.grid.shape, np.complex128)
     for j in range(1, P.j_max + 1):
         m = min(n, 2 ** (j + 3))
-        phys = np.fft.fftn(fold_lattice(fixed_sym(j) * fixed, n, m, weight=1.0))
+        phys = np.fft.fftn(fold_lattice(fixed_sym(j) * fixed, n, m))
         if adjoint:
-            wj = fold_lattice(x, n, m, weight=0.5)
-            prod = np.fft.ifftn(np.conj(phys) * np.fft.fftn(wj))
-            out += moving_sym(j) * split_lattice(prod, m, n, weight=1.0)
+            prod = np.fft.ifftn(np.conj(phys) * np.fft.fftn(fold_lattice(x, n, m)))
+            out += moving_sym(j) * split_lattice(prod, m, n)
         else:
-            wj = fold_lattice(moving_sym(j) * x, n, m, weight=1.0)
-            prod = np.fft.ifftn(phys * np.fft.fftn(wj))
-            out += split_lattice(prod, m, n, weight=0.5)
+            wj = fold_lattice(moving_sym(j) * x, n, m)
+            out += split_lattice(np.fft.ifftn(phys * np.fft.fftn(wj)), m, n)
     return out
 
 
@@ -112,7 +117,7 @@ def ref_bony(P, f, g):
     n, m, J = P.grid.n, 2 * P.grid.n, P.j_max
 
     def phys(sym, c):
-        return np.fft.fftn(embed_coeffs(sym * c, n, m))
+        return np.fft.fftn(split_lattice(sym * c, n, m))
 
     lo = res = hi = np.zeros((m,) * P.grid.d, np.complex128)
     for j in range(-1, J + 1):
@@ -121,7 +126,7 @@ def ref_bony(P, f, g):
             hi = hi + phys(P.block_symbol(j), f) * phys(P.partial_symbol(j - 1), g)
         for i in range(max(-1, j - 1), min(J, j + 1) + 1):
             res = res + phys(P.block_symbol(j), f) * phys(P.block_symbol(i), g)
-    return [restrict_coeffs(np.fft.ifftn(p), m, n) for p in (lo, res, hi)]
+    return [fold_lattice(np.fft.ifftn(p), m, n) for p in (lo, res, hi)]
 
 
 def assert_close(got, ref):
@@ -140,7 +145,7 @@ def assert_adjoint(op_apply, op_adjoint, x, y):
 def test_field_transforms_match_complex_reference(dn, seed):
     g = grid(*dn)
     rng = np.random.default_rng(seed)
-    a, b = (hermitian_with_nyquist(g, rng) for _ in range(2))
+    a, b = (full_band(g, rng) for _ in range(2))
     f, h = field_from_coeffs(g, a), field_from_coeffs(g, b)
     assert_close(pointwise_product(f, h).coeffs, ref_product(g, a, b))
     # values of size 1, where exp's round-off is that of its argument
@@ -155,7 +160,7 @@ def test_field_transforms_match_complex_reference(dn, seed):
 @pytest.mark.parametrize("dn", GRIDS)
 def test_exp_field_refuses_overflow(dn):
     g = grid(*dn)
-    a = hermitian_with_nyquist(g, np.random.default_rng(0))
+    a = full_band(g, np.random.default_rng(0))
     peak = np.max(padded_values(g, a))
     exp_field(field_from_coeffs(g, a * (0.99 * EXP_OVERFLOW_LIMIT / peak)))
     with pytest.raises(FieldRangeError, match="exponential overflow"):
@@ -167,11 +172,12 @@ def test_exp_field_refuses_overflow(dn):
 def test_mult_field_op_matches_complex_reference(dn, seed):
     g = grid(*dn)
     rng = np.random.default_rng(seed)
-    f, x, y = (hermitian_with_nyquist(g, rng) for _ in range(3))
+    f, x, y = (full_band(g, rng) for _ in range(3))
     op = mult_field_op(g, f)
-    assert_close(op.apply(x), ref_mult(g, f, x, adjoint=False))
-    assert_close(op.adjoint(x), ref_mult(g, f, x, adjoint=True))
+    assert_close(op.apply(x), ref_mult(g, f, x))
+    assert_close(op.adjoint(x), ref_mult(g, f, x))
     assert_adjoint(op.apply, op.adjoint, x, y)
+    assert_adjoint(op.apply, op.apply, x, y)
 
 
 @settings(max_examples=30, deadline=None)
@@ -179,7 +185,7 @@ def test_mult_field_op_matches_complex_reference(dn, seed):
 def test_paraproducts_match_complex_reference(dn, side, seed):
     P = partition(*dn)
     rng = np.random.default_rng(seed)
-    fixed, x, y = (hermitian_with_nyquist(P.grid, rng) for _ in range(3))
+    fixed, x, y = (full_band(P.grid, rng) for _ in range(3))
     if side == "low":
         engine = LowSidePara(P, fixed)
         syms = (lambda j: P.partial_symbol(j - 1), P.block_symbol)
@@ -198,26 +204,71 @@ def test_bony_decompose_matches_complex_reference(dn, seed):
     # the product grid
     P = partition(*dn)
     rng = np.random.default_rng(seed)
-    f, g = (hermitian_with_nyquist(P.grid, rng) for _ in range(2))
+    f, g = (full_band(P.grid, rng) for _ in range(2))
     got = bony_decompose(field_from_coeffs(P.grid, f), field_from_coeffs(P.grid, g), P)
     for part, ref in zip(got, ref_bony(P, f, g)):
         assert_close(part.coeffs, ref)
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.sampled_from(GRIDS), st.sampled_from([0.5, 1.0]), seeds)
-def test_half_spectrum_split_and_fold(dn, weight, seed):
+@given(st.sampled_from(GRIDS), seeds)
+def test_half_spectrum_split_and_fold(dn, seed):
     d, n = dn
     g, big = grid(d, n), grid(d, 2 * n)
     rng = np.random.default_rng(seed)
-    x = hermitian_with_nyquist(g, rng)
+    x = full_band(g, rng)
     grown = np.zeros((2 * n,) * (d - 1) + (n + 1,), np.complex128)
-    add_split_half(grown, x[..., : n // 2 + 1], n, weight)
+    add_split_half(grown, x[..., : n // 2 + 1], n)
     np.testing.assert_array_equal(full_spectrum(grown, 2 * n),
-                                  split_lattice(x, n, 2 * n, weight))
-    X = hermitian_with_nyquist(big, rng)
-    np.testing.assert_allclose(full_spectrum(fold_half(X, 2 * n, n, weight), n),
-                               fold_lattice(X, 2 * n, n, weight), rtol=0, atol=1e-15)
+                                  split_lattice(x, n, 2 * n))
+    X = full_band(big, rng)
+    np.testing.assert_allclose(full_spectrum(fold_half(X, 2 * n, n), n),
+                               fold_lattice(X, 2 * n, n), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("dn", GRIDS)
+def test_every_field_has_zero_nyquist_planes(dn):
+    # a raw array with non-zero entries everywhere goes into every
+    # constructor and operation; nothing comes out on k_i = n/2
+    g = grid(*dn)
+    rng = np.random.default_rng(7)
+    raw = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    assert all(np.all(raw[plane] != 0.0) for plane in g.nyquist)
+    f = field_from_coeffs(g, raw)
+    outputs = [to_spectral(raw.real, g).coeffs, f.coeffs, random_hermitian(g, rng),
+               pointwise_product(f, f).coeffs,
+               exp_field(field_from_coeffs(g, raw / np.sum(np.abs(raw)))).coeffs]
+    op = mult_field_op(g, raw)
+    outputs += [op.apply(raw), op.adjoint(raw)]
+    if g.d > 1:
+        outputs.append(sample_white_noise(g, 3).coeffs)
+    if g.n >= 32:
+        P = partition(*dn)
+        for engine in (LowSidePara(P, raw), ResonantPara(P, raw)):
+            outputs += [engine.apply(raw), engine.adjoint(raw)]
+    assert all(nyquist_free(x, g) for x in outputs)
+
+
+def test_product_size():
+    assert [product_size(n) for n in (8, 64, 128, 256)] == [10, 96, 192, 384]
+
+
+@pytest.mark.parametrize("dn", [(1, 64), (2, 64), (2, 128), (3, 16)])
+def test_product_exact_from_three_halves_n_minus_two(dn):
+    # the product of two fields on |k_i| <= n/2 - 1 reaches |k_i| = n - 2;
+    # on m points it is exact once m >= 3n/2 - 2, and at 3n/2 - 4 the
+    # alias of n - 2 lands on the kept mode -(n/2 - 2)
+    g = grid(*dn)
+    rng = np.random.default_rng(dn[1])
+    a, b = full_band(g, rng), full_band(g, rng)
+    ref = ref_product(g, a, b)
+
+    def product_on(m):
+        vals = torus._padded_values(a, g.n, m) * torus._padded_values(b, g.n, m)
+        return torus._band_limited(vals, g.n)
+
+    assert_close(product_on(3 * g.n // 2 - 2), ref)
+    assert np.max(np.abs(product_on(3 * g.n // 2 - 4) - ref)) > 1e-3 * np.max(np.abs(ref))
 
 
 def test_package_runs_no_complex_fft(monkeypatch, tmp_path):

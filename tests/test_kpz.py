@@ -295,8 +295,8 @@ class TestAssumptionIIProxy:
         norms = {}
         for n in (128, 256):
             g = grid(2, n)
-            xi = field_from_coeffs(g, split_lattice(data.xi.coeffs, 128, n, weight=0.5))
-            V = field_from_coeffs(g, split_lattice(data.V.coeffs, 128, n, weight=0.5))
+            xi = field_from_coeffs(g, split_lattice(data.xi.coeffs, 128, n))
+            V = field_from_coeffs(g, split_lattice(data.V.coeffs, 128, n))
             result = solve_kpz(KpzProblem(xi, V, data.lam, tol=1e-10))
             P = build_partition(g)
             norms[n] = besov_norm(result.W, BesovIndex(1.4, np.inf, np.inf), P)

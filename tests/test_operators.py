@@ -24,7 +24,6 @@ from paratorus.operators import (
     AOperator,
     ResolventOperator,
     StudyConfig,
-    apply_A,
     apply_A_tilde,
     convergence_study,
     equivalence_constants,
@@ -42,10 +41,11 @@ from paratorus.torus import (
     product_size,
     sobolev_norm,
     sobolev_scale,
-    to_physical,
     to_spectral,
 )
 from paratorus.transforms import build_stack, choose_cutoffs
+
+from oracles import dense_matrix
 
 
 @pytest.fixture(scope="module")
@@ -71,14 +71,14 @@ class TestApplyA:
     def test_zero_data_is_one_minus_laplacian(self):
         g = grid(2, 32)
         u = probe(g, 0)
-        out = apply_A(u, zero_data(g))
+        out = AOperator(zero_data(g)).apply(u)
         assert np.max(np.abs(out.coeffs - sobolev_scale(u, 2.0).coeffs)) < 1e-13
 
     def test_divergence_free_drift_kills_constants(self):
         g = grid(2, 64)
         data = enhance_generic(NoiseSpec("generic_I", seed=3), g, 2.0**-3)
         u = constant_field(g, 1.0)
-        out = apply_A(u, data)
+        out = AOperator(data).apply(u)
         # div(rho u) = u div rho = 0, so A u = u + (xi + c) u for constant u
         expected = u + data.xi
         assert l2_norm(out - expected) <= 1e-9 * max(1.0, l2_norm(out))
@@ -87,8 +87,8 @@ class TestApplyA:
         g = grid(2, 64)
         data = enhance_anderson2d(g, 2.0**-3, seed=1)
         u, v = probe(g, 1), probe(g, 2)
-        au = apply_A(u, data)
-        av = apply_A(v, data)
+        au = AOperator(data).apply(u)
+        av = AOperator(data).apply(v)
         lhs = np.vdot(au.coeffs, v.coeffs).real
         rhs = np.vdot(u.coeffs, av.coeffs).real
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
@@ -122,11 +122,24 @@ def anderson_data():
     return enhance_anderson2d(grid(2, 64), 2.0**-3, seed=5)
 
 
-def full_band_probes(g, count):
-    rng = np.random.default_rng(11)
+def full_band_probes(g, count, seed=11):
+    """Random real fields on every kept mode |k_i| <= n/2 - 1."""
+    rng = np.random.default_rng(seed)
     probes = [random_hermitian(g, rng) for _ in range(count)]
-    assert all(np.all(x[..., g.n // 2] != 0.0) for x in probes)
+    assert all(np.count_nonzero(x) == (g.n - 1) ** g.d for x in probes)
     return probes
+
+
+def test_anderson_operator_is_symmetric():
+    # <x, A y> = <A x, y> to round-off: PCG and the symmetric spectrum
+    # rely on it (it was off by 2e-6 relative while the Nyquist planes
+    # were carried with split and fold weights)
+    data = enhance_anderson2d(grid(2, 64), 2.0**-3, 1)
+    assert AOperator(data).l2_symmetric
+    op = AOperator(data).op
+    x, y = full_band_probes(data.grid, 2, seed=0)
+    lhs, rhs = np.vdot(x, op.apply(y)).real, np.vdot(op.apply(x), y).real
+    assert abs(lhs - rhs) <= 1e-14 * abs(lhs)
 
 
 class TestFusedA:
@@ -317,17 +330,8 @@ class TestSpectrum:
         g = grid(2, 16)
         mesh = g.meshgrid()
         pot = to_spectral(0.3 * np.cos(2 * np.pi * mesh[0]), g)
-        data = zero_data(g)
-        from dataclasses import replace
-        data = replace(data, xi=pot)
-        a_op = AOperator(data)
-        m = g.size
-        dense = np.zeros((m, m))
-        for j in range(m):
-            e = np.zeros(g.shape)
-            e.flat[j] = 1.0
-            col = to_physical(a_op.apply(to_spectral(e, g)))
-            dense[:, j] = col.ravel()
+        data = dataclasses.replace(zero_data(g), xi=pot)
+        dense = dense_matrix(AOperator(data).op.apply, g)
         dense = 0.5 * (dense + dense.T)
         exact = np.sort(np.linalg.eigvalsh(dense))[:4]
         eigs = spectrum(data, lam0=10.0, k_eigs=4, seed=1, tol=1e-9)
@@ -347,25 +351,13 @@ class TestSpectrum:
             spectrum(data, lam0=40.0, k_eigs=2, seed=3, max_sweeps=30)
 
 
-def dense_matrix(data):
-    """A on real fields of the grid as a dense matrix (n^d x n^d)."""
-    g = data.grid
-    a_op = AOperator(data)
-    dense = np.zeros((g.size, g.size))
-    for j in range(g.size):
-        e = np.zeros(g.shape)
-        e.flat[j] = 1.0
-        dense[:, j] = to_physical(a_op.apply(to_spectral(e, g))).ravel()
-    return dense
-
-
 class TestBlockKrylovSpectrum:
     def test_restarted_basis_matches_dense_oracle(self, monkeypatch):
         g = grid(2, 16)
         rng = np.random.default_rng(11)
         pot = random_field_with_decay(g, 2.0, rng, kmax=4.0)
         data = dataclasses.replace(zero_data(g), xi=pot * (3.0 / l2_norm(pot)))
-        dense = dense_matrix(data)
+        dense = dense_matrix(AOperator(data).op.apply, g)
         exact = np.sort(np.linalg.eigvalsh(0.5 * (dense + dense.T)))[:5]
         solves = []
         original = ResolventOperator.solve_coeffs
@@ -405,7 +397,8 @@ class TestBlockKrylovSpectrum:
         data = dataclasses.replace(zero_data(g), rho=(dpsi[1], -1.0 * dpsi[0]))
         assert not data.is_symmetric()
         lam0 = 10.0
-        resolvent_dense = np.linalg.inv(lam0 * np.eye(g.size) + dense_matrix(data))
+        dense = dense_matrix(AOperator(data).op.apply, g)
+        resolvent_dense = np.linalg.inv(lam0 * np.eye(len(dense)) + dense)
         mu = np.linalg.eigvalsh(0.5 * (resolvent_dense + resolvent_dense.T))
         exact = np.sort(1.0 / mu[::-1][:3] - lam0)
         with pytest.warns(RuntimeWarning, match="symmetrized"):

@@ -10,7 +10,6 @@ from paratorus.paraproducts import (
     ResonantPara,
     bony_decompose,
     check_para_estimates,
-    para_apply,
 )
 from paratorus.torus import (
     constant_field,
@@ -84,10 +83,15 @@ class TestBonyDecompose:
             bony_decompose(f, h, P)
 
 
+def prec(f, h, P):
+    return bony_decompose(f, h, P)[0]
+
+
 class TestParaApply:
     def test_preceq_plus_succ_is_product(self, P):
         f, h = bandlimited_pair(P, 1)
-        total = para_apply(f, h, "preceq", P) + para_apply(f, h, "succ", P)
+        lo, res, hi = bony_decompose(f, h, P)
+        total = (lo + res) + hi
         prod = pointwise_product(f, h)
         rel = np.max(np.abs(total.coeffs - prod.coeffs)) / np.max(np.abs(prod.coeffs))
         assert rel <= 1e-10
@@ -96,21 +100,21 @@ class TestParaApply:
         f1, h = bandlimited_pair(P, 2)
         f2, _ = bandlimited_pair(P, 3)
         a, b = 1.7, -0.4
-        left = para_apply(a * f1 + b * f2, h, "prec", P)
-        right = a * para_apply(f1, h, "prec", P) + b * para_apply(f2, h, "prec", P)
+        left = prec(a * f1 + b * f2, h, P)
+        right = a * prec(f1, h, P) + b * prec(f2, h, P)
         scale = max(np.max(np.abs(left.coeffs)), 1e-30)
         assert np.max(np.abs(left.coeffs - right.coeffs)) <= 1e-12 * scale
 
     def test_resonant_symmetric(self, P):
         f, h = bandlimited_pair(P, 4)
-        a = para_apply(f, h, "reso", P)
-        b = para_apply(h, f, "reso", P)
+        a = bony_decompose(f, h, P)[1]
+        b = bony_decompose(h, f, P)[1]
         assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-12 * np.max(np.abs(a.coeffs))
 
     def test_transpose_symmetry(self, P):
         f, h = bandlimited_pair(P, 5)
-        a = para_apply(f, h, "prec", P)
-        b = para_apply(h, f, "succ", P)
+        a = prec(f, h, P)
+        b = bony_decompose(h, f, P)[2]
         assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-13 * np.max(np.abs(a.coeffs))
 
     def test_frequency_localization(self):
@@ -125,17 +129,12 @@ class TestParaApply:
         h = field_from_coeffs(
             g, P.block_symbol(j) * to_spectral(rng.standard_normal(g.shape), g).coeffs
         )
-        lo = para_apply(f, h, "prec", P)
+        lo = prec(f, h, P)
         from paratorus.lp import block
         assert l2_norm(lo) > 0
         for i in range(-1, P.j_max + 1):
             if not (j - 3 <= i <= j + 3):
                 assert l2_norm(block(lo, P, i)) <= 1e-12 * l2_norm(lo)
-
-    def test_unknown_selector(self, P):
-        f, h = bandlimited_pair(P, 7)
-        with pytest.raises(ConfigurationError):
-            para_apply(f, h, "middle", P)
 
     def test_para_leibniz_div(self, P):
         # div(f prec grad w) computed directly vs via exact per-block Leibniz
@@ -144,13 +143,13 @@ class TestParaApply:
         f = P.bandlimit(to_spectral(rng.standard_normal(g.shape), g))
         w = P.bandlimit(to_spectral(rng.standard_normal(g.shape), g))
         gw = grad(w)
-        direct = div([para_apply(f, c, "prec", P) for c in gw])
+        direct = div([prec(f, c, P) for c in gw])
         gf = grad(f)
         leibniz = sum(
-            (para_apply(gf[l], gw[l], "prec", P) for l in range(g.d)),
+            (prec(gf[l], gw[l], P) for l in range(g.d)),
             start=torus.zero_field(g),
         ) + sum(
-            (para_apply(f, grad(gw[l])[l], "prec", P) for l in range(g.d)),
+            (prec(f, grad(gw[l])[l], P) for l in range(g.d)),
             start=torus.zero_field(g),
         )
         scale = max(np.max(np.abs(direct.coeffs)), 1e-30)

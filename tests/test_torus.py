@@ -43,35 +43,31 @@ def dft_oracle(u, g):
 
 
 def convolution_oracle(g, fc, gc):
-    """Exact product coefficients via direct convolution of the split-Nyquist
-    representation (every coefficient with |k_j| = n/2 carries half weight on
-    each of the +-n/2 labels), folded back onto the n-lattice."""
+    """Exact product coefficients via direct convolution, truncated to the
+    kept modes |k_j| <= n/2 - 1."""
     n, d = g.n, g.d
     freqs = [int(v) for v in np.where(np.arange(n) <= n // 2,
                                       np.arange(n), np.arange(n) - n)]
 
-    def split(c):
-        terms = []
-        for idx in np.ndindex(*c.shape):
-            if c[idx] == 0:
-                continue
-            k = [freqs[i] for i in idx]
-            labels = [[kj] if abs(kj) != n // 2 else [n // 2, -n // 2] for kj in k]
-            weight = c[idx] / np.prod([len(l) for l in labels])
-            for combo in np.ndindex(*[len(l) for l in labels]):
-                terms.append((tuple(labels[a][combo[a]] for a in range(d)), weight))
-        return terms
+    def terms(c):
+        return [(tuple(freqs[i] for i in idx), c[idx])
+                for idx in np.ndindex(*c.shape) if c[idx] != 0]
 
-    acc = {}
-    for k1, w1 in split(fc):
-        for k2, w2 in split(gc):
-            k = tuple(a + b for a, b in zip(k1, k2))
-            acc[k] = acc.get(k, 0.0) + w1 * w2
     out = np.zeros(g.shape, complex)
-    for k, w in acc.items():
-        if all(-(n // 2) <= kj <= n // 2 for kj in k):
-            out[tuple(kj % n for kj in k)] += w
+    for k1, w1 in terms(fc):
+        for k2, w2 in terms(gc):
+            k = tuple(a + b for a, b in zip(k1, k2))
+            if all(abs(kj) < n // 2 for kj in k):
+                out[tuple(kj % n for kj in k)] += w1 * w2
     return out
+
+
+def kept(g):
+    """Mask of the kept modes, False on the Nyquist planes k_j = n/2."""
+    mask = np.ones(g.shape, bool)
+    for plane in g.nyquist:
+        mask[plane] = False
+    return mask
 
 
 class TestGrid:
@@ -112,13 +108,18 @@ class TestTransforms:
         u = rng.standard_normal(g.shape)
         f = to_spectral(u, g)
         expected = dft_oracle(u, g)
-        assert np.max(np.abs(f.coeffs - expected)) < 1e-12
+        assert np.max(np.abs(f.coeffs - expected)[kept(g)]) < 1e-12
+        assert not np.any(f.coeffs[~kept(g)])
 
     def test_round_trip(self):
+        # samples of a field on the kept modes come back exactly; the
+        # Nyquist part of arbitrary samples is dropped
         for d in (1, 2, 3):
             g = grid(d, 8)
             rng = np.random.default_rng(d)
-            u = rng.standard_normal(g.shape)
+            f = to_spectral(rng.standard_normal(g.shape), g)
+            assert not np.any(f.coeffs[~kept(g)])
+            u = to_physical(f)
             err = np.max(np.abs(to_physical(to_spectral(u, g)) - u))
             assert err <= 1e-12 * max(1.0, np.max(np.abs(u)))
 
@@ -131,9 +132,11 @@ class TestTransforms:
         g = grid(2, 32)
         u = np.random.default_rng(1).standard_normal(g.shape)
         f = to_spectral(u, g)
-        assert np.sum(np.abs(f.coeffs) ** 2) == pytest.approx(
-            np.mean(u**2), rel=1e-12
-        )
+        assert not np.any(f.coeffs[~kept(g)])
+        energy = np.sum(np.abs(f.coeffs) ** 2)
+        assert energy == pytest.approx(np.mean(to_physical(f) ** 2), rel=1e-12)
+        dft = np.fft.fftn(u, norm="forward")
+        assert energy == pytest.approx(np.sum(np.abs(dft[kept(g)]) ** 2), rel=1e-12)
 
 
 class TestMultipliers:
@@ -366,6 +369,8 @@ _UNPAIRED_BODY = _BODY.copy()
 _UNPAIRED_BODY[3, 5] = 1.0  # its mirror (13, 11) stays 0
 _COMPLEX_MEAN_BODY = _BODY.copy()
 _COMPLEX_MEAN_BODY[0, 0] = 1.0 + 0.5j  # k = 0 is its own mirror
+_NYQUIST_BODY = _BODY.copy()
+_NYQUIST_BODY[8, 0] = 1.0  # Hermitian, but on the Nyquist plane k_1 = n/2
 MALFORMED_PCF1 = {
     "truncated_body": (_pcf1_bytes(b"PCF1 d=2 n=16\n", _BODY)[:-5], DataError),
     "bad_dimension": (_pcf1_bytes(b"PCF1 d=x n=16\n", _BODY), ConfigurationError),
@@ -375,6 +380,7 @@ MALFORMED_PCF1 = {
     "nan_coefficient": (_pcf1_bytes(b"PCF1 d=2 n=16\n", _NAN_BODY), DataError),
     "non_hermitian": (_pcf1_bytes(b"PCF1 d=2 n=16\n", _UNPAIRED_BODY), DataError),
     "complex_mean": (_pcf1_bytes(b"PCF1 d=2 n=16\n", _COMPLEX_MEAN_BODY), DataError),
+    "nyquist_entry": (_pcf1_bytes(b"PCF1 d=2 n=16\n", _NYQUIST_BODY), DataError),
 }
 
 
@@ -408,3 +414,4 @@ def test_read_pcf1_with_one_flipped_byte(tmp_path_factory, position, mask):
     mirror = np.roll(np.flip(c), 1, axis=tuple(range(c.ndim)))
     assert np.all(np.isfinite(c))
     assert np.array_equal(c, np.conj(mirror))
+    assert not np.any(c[~kept(f.grid)])
