@@ -368,6 +368,14 @@ class TestBlockKrylovSpectrum:
         assert len(solves) > operators._BASIS_BLOCKS * (5 + 1)
         assert np.max(np.abs(eigs - exact)) <= 1e-8
 
+    def test_restart_converges_at_tight_tolerance(self):
+        # the computed resolvent is symmetric only to its solves' tolerance;
+        # restarting from the symmetrized Ritz vectors instead of an
+        # invariant subspace ran out of these 20 block steps (13 suffice)
+        data = enhance_anderson2d(grid(2, 64), 2.0**-3, seed=2)
+        eigs = spectrum(data, lam0=10.0, k_eigs=5, seed=0, tol=1e-7, max_sweeps=20)
+        assert len(eigs) == 5
+
     def test_max_sweeps_exhausted(self):
         g = grid(2, 32)
         data = enhance_anderson2d(g, 2.0**-3, seed=3)
