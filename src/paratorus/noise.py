@@ -100,9 +100,8 @@ def helmholtz_project(v: list[SpectralField]) -> list[SpectralField]:
     """Fourier-side projection onto divergence-free fields:
     vhat(k) -> (I - k k^T / |k|^2) vhat(k) for k != 0; the mean is kept.
 
-    The output is exactly divergence-free and the projector idempotent,
-    the Nyquist planes, where the frequencies are not those of a real
-    derivative, being zero."""
+    On fields, whose Nyquist planes are zero, the output is exactly
+    divergence-free and the projector idempotent."""
     g = v[0].grid
     if len(v) != g.d:
         raise ConfigurationError(f"expected {g.d} components, got {len(v)}")
