@@ -8,7 +8,9 @@ solved by Picard iteration on
 
 whose fixed points satisfy the equation exactly as displayed.  For rough
 data the iteration contracts once lam is large enough; auto_lambda doubles
-lam until a contraction window is observed.  The nonlinearity is evaluated
+lam until a contraction window is observed, and solve_kpz resumes from the
+steps of the trial it accepts instead of taking them again.  The
+nonlinearity is evaluated
 as sum_l d_l W . d_l(W - V), by bilinearity d dealiased products instead
 of 2d, and solve_kpz evaluates it once per step: at W_k it gives both the
 residual of W_k and the next iterate W_{k+1}.
@@ -16,7 +18,7 @@ residual of W_k and the next iterate W_{k+1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,15 +37,21 @@ from .torus import (
 LAMBDA_CAP = 2.0**20
 CONTRACTION_WINDOW = 5
 CONTRACTION_RATIO = 0.9
+TRIAL_STEPS = 20
 
 
 @dataclass(frozen=True)
 class KpzProblem:
+    """The equation at relaxation parameter lam.  `start`, when given, is
+    the state after the first start.iterations Picard steps from W = 0
+    (auto_lambda's accepted trial), from which solve_kpz resumes."""
+
     xi: SpectralField
     V: SpectralField
     lam: float
     tol: float = 1e-10
     max_iter: int = 200
+    start: KpzResult | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.lam <= 0:
@@ -97,60 +105,83 @@ def kpz_residual(W: SpectralField, prob: KpzProblem) -> float:
 
 
 def solve_kpz(prob: KpzProblem) -> KpzResult:
-    """Picard iteration from W = 0 until the residual drops below tol."""
-    W = zero_field(prob.xi.grid)
-    nonlin = nonlinearity(W, prob.V)
-    trace = []
-    for it in range(1, prob.max_iter + 1):
-        try:
-            W = _step(W, nonlin, prob)
-        except SolverDivergenceError as exc:
-            raise SolverDivergenceError(f"{exc} (at iteration {it})") from None
+    """Picard iteration until the residual drops below tol, from W = 0 or
+    from prob.start; the steps taken there count against max_iter, so a
+    resumed solve ends, or is refused, as the one from W = 0 would."""
+    if prob.start is None:
+        # the first step, from W_0 = 0, whose residual the trace omits
+        W, it, trace = kpz_map(zero_field(prob.xi.grid), prob), 1, []
+    else:
+        W, it, trace = prob.start.W, prob.start.iterations, list(prob.start.trace)
+    while True:
         nonlin = nonlinearity(W, prob.V)
         res = _residual(W, nonlin, prob)
         trace.append((it, res))
         if res <= prob.tol:
             return KpzResult(W, it, res, trace)
-    raise SolverDivergenceError(
-        f"no convergence after {prob.max_iter} iterations "
-        f"(residual {trace[-1][1]:.3e} > tol {prob.tol:.1e}); "
-        f"try a larger relaxation parameter than {prob.lam:g}"
-    )
+        if it >= prob.max_iter:
+            raise SolverDivergenceError(
+                f"no convergence after {prob.max_iter} iterations "
+                f"(residual {res:.3e} > tol {prob.tol:.1e}); "
+                f"try a larger relaxation parameter than {prob.lam:g}"
+            )
+        it += 1
+        try:
+            W = _step(W, nonlin, prob)
+        except SolverDivergenceError as exc:
+            raise SolverDivergenceError(f"{exc} (at iteration {it})") from None
+
+
+def _trial(prob: KpzProblem) -> KpzResult | None:
+    """The first Picard steps from W = 0 as solve_kpz takes them, at most
+    TRIAL_STEPS: the state they reach (its residual not yet evaluated,
+    nan) if they contract, None if not; see auto_lambda."""
+    W, it, trace = kpz_map(zero_field(prob.xi.grid), prob), 1, []
+    increments, contracted = [sobolev_norm(W, 1.0)], False
+    while increments[-1] > 1e-14:  # else already at the fixed point
+        window = increments[-CONTRACTION_WINDOW - 1:]
+        if len(window) > CONTRACTION_WINDOW:
+            ratios = [b / a for a, b in zip(window, window[1:]) if a > 0]
+            contracted = contracted or bool(ratios) and max(ratios) <= CONTRACTION_RATIO
+        if it == TRIAL_STEPS:
+            if not contracted:
+                return None
+            break
+        nonlin = nonlinearity(W, prob.V)
+        res = _residual(W, nonlin, prob)
+        if res <= prob.tol:  # solved: solve_kpz stops at this iterate
+            break
+        trace.append((it, res))
+        try:
+            W_next = _step(W, nonlin, prob)
+        except SolverDivergenceError:
+            return None
+        increments.append(sobolev_norm(W_next - W, 1.0))
+        W, it = W_next, it + 1
+    return KpzResult(W, it, np.nan, trace)
 
 
 def auto_lambda(
     xi: SpectralField, V: SpectralField, g, tol: float = 1e-10
 ) -> KpzProblem:
-    """Double lam from 1 until a 20-step Picard run contracts.
+    """Double lam from 1 until a TRIAL_STEPS-step Picard run from W = 0
+    contracts, and return the problem at that lam with the run's last
+    state as its start, so that solve_kpz takes no step twice.
 
-    Contraction is detected when the last CONTRACTION_WINDOW increment
-    ratios |W_{m+1} - W_m|_{H^1} / |W_m - W_{m-1}|_{H^1} all stay below
-    CONTRACTION_RATIO; capped at 2^20.
+    Contraction is detected when, after some step, the last
+    CONTRACTION_WINDOW increment ratios |W_{m+1} - W_m|_{H^1} /
+    |W_m - W_{m-1}|_{H^1} all stay below CONTRACTION_RATIO and the run
+    then completes its steps without diverging; a run that reaches tol
+    or an increment of at most 1e-14 stops there and is accepted.  The
+    run evaluates the residual of each iterate, as solve_kpz does, so
+    that it stops where the solve would.  Capped at 2^20.
     """
     lam = 1.0
     while lam <= LAMBDA_CAP:
         prob = KpzProblem(xi, V, lam, tol)
-        W = zero_field(g)
-        increments = []
-        ok = False
-        try:
-            for _ in range(20):
-                W_next = kpz_map(W, prob)
-                inc = sobolev_norm(W_next - W, 1.0)
-                increments.append(inc)
-                W = W_next
-                if inc <= 1e-14:  # already at the fixed point
-                    ok = True
-                    break
-                if len(increments) > CONTRACTION_WINDOW:
-                    window = increments[-CONTRACTION_WINDOW - 1:]
-                    ratios = [b / a for a, b in zip(window, window[1:]) if a > 0]
-                    if ratios and max(ratios) <= CONTRACTION_RATIO:
-                        ok = True
-        except SolverDivergenceError:
-            ok = False
-        if ok:
-            return prob
+        trial = _trial(prob)
+        if trial is not None:
+            return replace(prob, start=trial)
         lam *= 2.0
     raise DataTooRoughError(
         f"no contraction found up to relaxation parameter {LAMBDA_CAP:g}"

@@ -9,11 +9,17 @@ Lanczos bidiagonalization, which runs T and T* alternately, including in
 Sobolev-weighted spaces via conjugation with the diagonal weights.
 
 The multiplications and paraproducts are block lists of the one
-dealiased-product engine, `paraproducts._FixedSidePara`: a field
-multiplication is a single unfiltered block on the product grid
-`torus.product_size(n)` (about 3n/2, where it is exact), and a sum of
-multiplications with derivatives before or after them
-(`field_products_op`) runs in one transform pass.
+dealiased-product engine, `paraproducts._FixedSidePara`, and `blocks_op`
+makes any such list one operator that runs in one transform pass: a
+field multiplication is a single unfiltered block on the product grid
+`torus.product_size(n)` (about 3n/2, where it is exact), a sum of
+multiplications with derivatives before or after them is
+`field_products_op`, and a sum of paraproducts with derivatives, such as
+sum_l d_l (f prec d_l w), is the concatenation of the lists of
+`paraproducts.low_side_blocks` and `high_side_blocks`, the blocks
+carrying the derivatives.  The engine caches one physical factor per
+(grid, fixed field, fixed symbol) and each symbol factor once per block
+lattice.
 The engine runs real FFTs on the half spectrum (last-axis frequency
 index 0..n/2) and returns its Hermitian completion, so the other half of
 the input is never read: the operators act on Hermitian coefficient
@@ -36,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CertificateError
-from .paraproducts import Block, HighSidePara, LowSidePara, _FixedSidePara
+from .paraproducts import Block, _FixedSidePara
 from .torus import Grid, constant_value, product_size
 
 Array = np.ndarray
@@ -102,6 +108,13 @@ def scale(op: LinOp, c: float) -> LinOp:
     return LinOp(lambda x: c * op.apply(x), lambda x: np.conj(c) * op.adjoint(x))
 
 
+def blocks_op(g: Grid, blocks) -> LinOp:
+    """The sum of the engine's blocks (paraproducts.Block) on g, run in
+    one transform pass, with its exact adjoint."""
+    eng = _FixedSidePara(g, blocks)
+    return LinOp(eng.apply, eng.adjoint)
+
+
 def _or_one(sym):
     return 1.0 if sym is None else sym
 
@@ -127,8 +140,7 @@ def field_products_op(g: Grid, terms) -> LinOp:
         elif value != 0.0:
             ops.append(multiplier_op(value * _or_one(b) * _or_one(c)))
     if blocks:
-        eng = _FixedSidePara(g, blocks)
-        ops.append(LinOp(eng.apply, eng.adjoint))
+        ops.append(blocks_op(g, blocks))
     return add(*ops) if ops else multiplier_op(0.0)
 
 
@@ -139,22 +151,8 @@ def mult_field_op(g: Grid, coeffs: Array) -> LinOp:
     return field_products_op(g, [(coeffs, None, None)])
 
 
-def deriv_op(g: Grid, axis: int) -> LinOp:
-    return multiplier_op(np.broadcast_to(g.deriv_symbols[axis], g.shape))
-
-
 def sobolev_op(g: Grid, s: float) -> LinOp:
     return multiplier_op(g.sobolev_symbol(s))
-
-
-def para_low_op(P, f_coeffs: Array) -> LinOp:
-    eng = LowSidePara(P, f_coeffs)
-    return LinOp(eng.apply, eng.adjoint)
-
-
-def para_high_op(P, z_coeffs: Array) -> LinOp:
-    eng = HighSidePara(P, z_coeffs)
-    return LinOp(eng.apply, eng.adjoint)
 
 
 def coeff_norm(x: Array) -> float:

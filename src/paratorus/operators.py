@@ -71,29 +71,29 @@ from .transforms import (
 class AOperator:
     """Matrix-free (1-Delta) + grad V . grad + (xi + c) + div(rho .).
 
-    The lower-order terms are one sum of dealiased products,
-    (xi + c) u + sum_l d_l V d_l u + sum_l d_l (rho_l u), evaluated by
-    linops.field_products_op in one transform pass on the product grid:
-    with V and rho both present in 2d, three inverse transforms (of u,
-    d_1 u, d_2 u) and three forward ones (of the sums that d_1, d_2 and
-    nothing act on).  A constant potential multiplies exactly, without
-    transforms, and zero terms are left out, so on such data A is
-    (1-Delta) + c exactly."""
+    The lower-order terms are applied in drift form, b . grad u + q u with
+    b_l = d_l V + rho_l and q = xi + c + div rho.  By Leibniz,
+    sum_l d_l (rho_l u) = (div rho) u + rho . grad u for the untruncated
+    product, and truncation to the kept modes commutes with d_l, so the
+    dealiased drift form is the same operator in exact arithmetic; div rho
+    stays in q, so this does not rest on rho being divergence-free.  The
+    sum of products is one linops.field_products_op pass on the product
+    grid: in 2d three inverse transforms (of u, d_1 u, d_2 u) and one
+    forward transform, three forward and one inverse for the adjoint.  A
+    constant potential multiplies exactly, without transforms, and zero
+    terms are left out, so on such data A is (1-Delta) + c exactly."""
 
     def __init__(self, data: EnhancedData):
         g = data.grid
         self.data = data
         parts = [multiplier_op(g.sobolev_symbol(2.0))]
-        terms = []
         potential = data.xi + constant_field(g, data.c_eps)
-        if np.any(potential.coeffs != 0.0):
-            terms.append((potential.coeffs, None, None))
-        if l2_norm(data.V) > 0.0:
-            terms += [(dv.coeffs, g.deriv_symbols[l], None)
-                      for l, dv in enumerate(grad(data.V))]
+        drift = grad(data.V) if l2_norm(data.V) > 0.0 else []
         if not data.is_symmetric():
-            terms += [(r.coeffs, None, g.deriv_symbols[l])
-                      for l, r in enumerate(data.rho)]
+            potential = potential + div(list(data.rho))
+            drift = [r + b for r, b in zip(data.rho, drift)] if drift else data.rho
+        terms = [(potential.coeffs, None, None)] if np.any(potential.coeffs != 0.0) else []
+        terms += [(b.coeffs, g.deriv_symbols[l], None) for l, b in enumerate(drift)]
         if terms:
             parts.append(field_products_op(g, terms))
         self.op = add(*parts)

@@ -14,14 +14,22 @@ One engine, `_FixedSidePara`, evaluates every product with a cached
 factor: a sum of blocks, each the exact product of two filtered fields
 on the smallest grid that holds it alias-free, at most the product grid
 `torus.product_size(n)` (about 3n/2).  Each block carries its own fixed
-factor and may filter its input and its output, and a sum of blocks runs
-in one transform pass: blocks on one grid share the inverse transform of
-a common input and the forward transform of a common output.
-`LowSidePara`, `HighSidePara`, `ResonantPara`, `bony_decompose` and
+factor and may filter its input and its output, with a derivative as
+well as a Littlewood-Paley block, and a sum of blocks runs in one
+transform pass: blocks on one grid share the inverse transform of a
+common input and the forward transform of a common output.  The
+builders `low_side_blocks`, `high_side_blocks` and `resonant_blocks`
+return the block lists of one paraproduct, and a sum such as
+sum_l d_l (f prec d_l w) is the concatenation of their lists, run by
+`linops.blocks_op` in one pass; `bony_decompose` and
 `linops.field_products_op` (the field multiplications, alone or summed
-as in the operator A) are block lists for it.  It has an exact adjoint
-and keeps its private name because benchmark tooling patches it by that
-name.  Like `torus.pointwise_product` it transforms through
+as in the operator A) are block lists for it too.  The engine restricts
+each symbol factor to a block lattice once and applies a block's
+factors one at a time, and it caches one physical factor per (grid,
+fixed field, fixed symbol), so the blocks of such a sum share their
+factors whatever their derivatives.  It has an exact adjoint and keeps
+its private name because benchmark tooling patches it by that name.
+Like `torus.pointwise_product` it transforms through
 `torus.reflected_values`/`reflected_spectrum`, so every dealiased product
 of the package runs the same real FFTs.
 
@@ -63,9 +71,9 @@ def bony_decompose(
         raise ConfigurationError("bony_decompose needs both fields on one grid")
     if P.grid != f.grid:
         raise ConfigurationError("partition was built on a different grid")
-    lo = LowSidePara(P, f.coeffs).apply(g.coeffs)
-    res = ResonantPara(P, f.coeffs).apply(g.coeffs)
-    hi = LowSidePara(P, g.coeffs).apply(f.coeffs)
+    lo = _FixedSidePara(f.grid, low_side_blocks(P, f.coeffs)).apply(g.coeffs)
+    res = _FixedSidePara(f.grid, resonant_blocks(P, f.coeffs)).apply(g.coeffs)
+    hi = _FixedSidePara(f.grid, low_side_blocks(P, g.coeffs)).apply(f.coeffs)
     return tuple(field_from_coeffs(f.grid, c) for c in (lo, res, hi))
 
 
@@ -79,33 +87,43 @@ def _on_block_grid(sym: np.ndarray, n: int, m: int) -> np.ndarray:
     return sym[np.ix_(*([src] * (sym.ndim - 1) + [src[: m // 2 + 1]]))]
 
 
+def _factors(sym) -> tuple:
+    """A block symbol as its tuple of factors; None is no filter."""
+    if sym is None:
+        return ()
+    return sym if isinstance(sym, tuple) else (sym,)
+
+
 class Block(NamedTuple):
     """One product of the engine: w -> c(D) [(a(D) fixed) * (b(D) w)],
     exact on the m-lattice.  `fixed` holds the coefficients of a real
     field; a = fixed_sym, b = in_sym and c = out_sym are Fourier symbols
-    on the n-lattice, or None for no filter."""
+    on the n-lattice, or None for no filter.  b and c may be tuples of
+    factors (a derivative and a Littlewood-Paley block, say), which the
+    engine applies one at a time."""
 
     m: int
     fixed: np.ndarray
     fixed_sym: np.ndarray | None = None
-    in_sym: np.ndarray | None = None
-    out_sym: np.ndarray | None = None
+    in_sym: np.ndarray | tuple | None = None
+    out_sym: np.ndarray | tuple | None = None
 
 
 def _plan(blocks, in_side, out_side, symbol, cached):
     """Group the blocks into transform passes: those with the same grid m
-    and input symbol share one inverse transform of the moving field,
-    those with the same m and output symbol add their physical products
-    before one forward transform.  Returns (inputs, outputs): inputs
-    lists (m, symbol), outputs (m, symbol, [(cached factor, input)], the
-    inputs last used by this output)."""
+    and input factors share one inverse transform of the moving field,
+    those with the same m and output factors add their physical products
+    before one forward transform (factors are told apart by identity).
+    Returns (inputs, outputs): inputs lists (m, factors), outputs
+    (m, factors, [(cached factor, input)], the inputs last used by this
+    output)."""
     inputs, outputs, in_ix, out_ix = [], [], {}, {}
     for blk, phys in zip(blocks, cached):
         s_in, s_out = getattr(blk, in_side), getattr(blk, out_side)
-        i = in_ix.setdefault((blk.m, id(s_in)), len(inputs))
+        i = in_ix.setdefault((blk.m, tuple(map(id, _factors(s_in)))), len(inputs))
         if i == len(inputs):
             inputs.append((blk.m, symbol(blk.m, s_in)))
-        o = out_ix.setdefault((blk.m, id(s_out)), len(outputs))
+        o = out_ix.setdefault((blk.m, tuple(map(id, _factors(s_out)))), len(outputs))
         if o == len(outputs):
             outputs.append((blk.m, symbol(blk.m, s_out), [], []))
         outputs[o][2].append((phys, i))
@@ -124,23 +142,37 @@ class _FixedSidePara:
     A block copies the modes its m-lattice and the n-lattice both keep,
     to the m-lattice and back, and its symbols act on the smaller of the
     two lattices.  A sum of blocks runs in one transform pass: one inverse
-    transform per (m, input symbol), one forward transform per (m, output
-    symbol), all adding into one half spectrum that is completed to the
-    full Hermitian array once per call.
+    transform per (m, input factors), one forward transform per (m, output
+    factors), all adding into one half spectrum that is completed to the
+    full Hermitian array once per call.  Each symbol factor is restricted
+    to a lattice once, and each physical factor is computed once per
+    (m, fixed field, fixed symbol), so blocks that differ only in their
+    derivatives share both.
     """
 
     def __init__(self, g: Grid, blocks):
         self.n = n = g.n
+        restricted = {}
 
-        def half(m, s, conj=False):
-            if s is None:
-                return None
-            s = _on_block_grid(np.broadcast_to(s, g.shape), n, min(m, n))
-            return np.conj(s) if conj and np.iscomplexobj(s) else s
+        def half(m, sym, conj=False):
+            out = []
+            for s in _factors(sym):
+                c = conj and np.iscomplexobj(s)
+                key = (min(m, n), id(s), c)
+                if key not in restricted:
+                    h = _on_block_grid(np.broadcast_to(s, g.shape), n, min(m, n))
+                    restricted[key] = np.conj(h) if c else h
+                out.append(restricted[key])
+            return tuple(out)
 
         blocks = list(blocks)
-        cached = [reflected_values(resample_half(
-            b.fixed, n, b.m, half(b.m, b.fixed_sym)), b.m) for b in blocks]
+        phys, cached = {}, []
+        for b in blocks:
+            key = (b.m, id(b.fixed), id(b.fixed_sym))
+            if key not in phys:
+                phys[key] = reflected_values(resample_half(
+                    b.fixed, n, b.m, half(b.m, b.fixed_sym)), b.m)
+            cached.append(phys[key])
         self._forward = _plan(blocks, "in_sym", "out_sym", half, cached)
         self._backward = _plan(blocks, "out_sym", "in_sym",
                                lambda m, s: half(m, s, conj=True), cached)
@@ -169,43 +201,35 @@ class _FixedSidePara:
         return self._run(self._backward, coeffs)
 
 
-class LowSidePara(_FixedSidePara):
-    """w -> f prec w with the low-frequency factor f fixed and cached."""
-
-    def __init__(self, P: DyadicPartition, f_coeffs: np.ndarray):
-        n = P.grid.n
-        super().__init__(P.grid, [
-            Block(min(n, 2 ** (j + 3)), f_coeffs, P.partial_symbol(j - 1),
-                  P.block_symbol(j))
-            for j in range(1, P.j_max + 1)
-        ])
+def low_side_blocks(P: DyadicPartition, f_coeffs: np.ndarray,
+                    in_sym=None, out_sym=None) -> list[Block]:
+    """Blocks of w -> c(D) (f prec b(D) w), b = in_sym and c = out_sym as
+    in Block, with the low-frequency factor f fixed."""
+    n = P.grid.n
+    return [Block(min(n, 2 ** (j + 3)), f_coeffs, P.partial_symbol(j - 1),
+                  _factors(in_sym) + (P.block_symbol(j),), out_sym)
+            for j in range(1, P.j_max + 1)]
 
 
-class HighSidePara(_FixedSidePara):
-    """w -> w prec z with the high-frequency factor z fixed and cached."""
-
-    def __init__(self, P: DyadicPartition, z_coeffs: np.ndarray):
-        n = P.grid.n
-        super().__init__(P.grid, [
-            Block(min(n, 2 ** (j + 3)), z_coeffs, P.block_symbol(j),
-                  P.partial_symbol(j - 1))
-            for j in range(1, P.j_max + 1)
-        ])
+def high_side_blocks(P: DyadicPartition, z_coeffs: np.ndarray,
+                     in_sym=None, out_sym=None) -> list[Block]:
+    """Blocks of w -> c(D) (b(D) w prec z), b = in_sym and c = out_sym as
+    in Block, with the high-frequency factor z fixed."""
+    n = P.grid.n
+    return [Block(min(n, 2 ** (j + 3)), z_coeffs, P.block_symbol(j),
+                  _factors(in_sym) + (P.partial_symbol(j - 1),), out_sym)
+            for j in range(1, P.j_max + 1)]
 
 
-class ResonantPara(_FixedSidePara):
-    """w -> f reso w with f fixed and cached; the top block's product
+def resonant_blocks(P: DyadicPartition, f_coeffs: np.ndarray) -> list[Block]:
+    """Blocks of w -> f reso w with f fixed; the top block's product
     reaches past the n-lattice band, so it runs on the product grid
     (torus.product_size), the smallest one where it is alias-free."""
-
-    def __init__(self, P: DyadicPartition, f_coeffs: np.ndarray):
-        n, J = P.grid.n, P.j_max
-        m_top = product_size(n)
-        super().__init__(P.grid, [
-            Block(min(m_top, 2 ** (j + 4)), f_coeffs, P.block_symbol(j),
+    n, J = P.grid.n, P.j_max
+    m_top = product_size(n)
+    return [Block(min(m_top, 2 ** (j + 4)), f_coeffs, P.block_symbol(j),
                   sum(P.block_symbol(i) for i in (j - 1, j, j + 1) if -1 <= i <= J))
-            for j in range(-1, J + 1)
-        ])
+            for j in range(-1, J + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -367,25 +367,25 @@ def fold_half(arr: np.ndarray, n_src: int, n_dst: int) -> np.ndarray:
 
 
 def resample_half(arr: np.ndarray, n_src: int, n_dst: int,
-                  sym: np.ndarray | None = None,
+                  sym: tuple = (),
                   out: np.ndarray | None = None) -> np.ndarray:
     """Half spectrum on the n_dst lattice of the modes of `full` that both
     lattices keep; `arr` is the half spectrum of `full`, or `full` itself.
 
-    `sym`, a half spectrum on the smaller of the two lattices, multiplies
-    there: after a fold, before a split.  With `out` given, the result is
-    added into it and `out` is returned."""
+    The factors in `sym`, half spectra on the smaller of the two lattices,
+    multiply there one at a time: after a fold, before a split.  With
+    `out` given, the result is added into it and `out` is returned."""
     if n_dst <= n_src:
         res = fold_half(arr, n_src, n_dst)
-        if sym is not None:
-            res = sym * res
+        for s in sym:
+            res = s * res
         if out is None:
             return res
         out += res
         return out
     src = arr[..., : n_src // 2 + 1]
-    if sym is not None:
-        src = sym * src
+    for s in sym:
+        src = s * src
     if out is None:
         out = np.zeros((n_dst,) * (arr.ndim - 1) + (n_dst // 2 + 1,), np.complex128)
     add_split_half(out, src, n_src)

@@ -20,7 +20,10 @@ from the five cached exponentials e_pw = e^{P>M W}, e_pw_inv, e_pwv =
 e^{P>M(V+W)}, e_pwv_inv and e_pv2w = e^{P>M(V+2W)}, which save_stack
 persists and verify_stack compares bit for bit.  save_stack also stamps
 the version of the operator kernels and of the stack's composition, and
-verify_stack refuses a stack saved under another version.
+verify_stack refuses a stack saved under another version.  The
+paraproducts of Lambda, sum_l d_l (E2 prec d_l w), run in one engine pass
+and those of G in another, the blocks carrying the derivatives, so an
+apply of K + R makes two paraproduct passes.
 
 Here Upsilon = I - K and R = (1-Delta)^{-1} P_{>N} G.  The paracontrolled
 correction proper is I - Upsilon^{-1} R; inverting it as a series would
@@ -61,21 +64,20 @@ from .errors import CertificateError, ConfigurationError, ResolutionError
 from .linops import (
     LinOp,
     add,
+    blocks_op,
     compose,
-    deriv_op,
     field_products_op,
     identity_op,
     mult_field_op,
     multiplier_op,
     neumann_inverse_op,
     operator_norm,
-    para_high_op,
-    para_low_op,
     scale,
     subtract,
 )
 from .lp import DyadicPartition
 from .noise import EnhancedData, read_meta, save_enhanced, load_enhanced
+from .paraproducts import high_side_blocks, low_side_blocks
 from .torus import (
     SpectralField,
     constant_field,
@@ -187,11 +189,10 @@ def build_stack(
     lap1 = multiplier_op(g.sobolev_symbol(2.0))        # 1 - Delta
     lap1_inv = multiplier_op(g.sobolev_symbol(-2.0))
 
-    # Lambda = (1-Delta) - sum_l d_l (E2 prec d_l .)
-    low_e2 = para_low_op(partition, E2.coeffs)
-    para_div = add(*[
-        compose(deriv_op(g, l), low_e2, deriv_op(g, l)) for l in range(g.d)
-    ])
+    # Lambda = (1-Delta) - sum_l d_l (E2 prec d_l .), one engine pass
+    dl = g.deriv_symbols
+    para_div = blocks_op(g, [blk for l in range(g.d) for blk in
+                             low_side_blocks(partition, E2.coeffs, dl[l], dl[l])])
     lambda_ = subtract(lap1, para_div)
     K = compose(lap1_inv, para_div)
     upsilon = subtract(identity_op(), K)
@@ -199,21 +200,18 @@ def build_stack(
                                      max_terms=NEUMANN_MAX_TERMS)
 
     # LambdaBar = (1-Delta) + E3 prec (1-Delta) .
-    low_e3 = para_low_op(partition, E3.coeffs)
-    bar_term = compose(low_e3, lap1)
+    bar_term = compose(blocks_op(g, low_side_blocks(partition, E3.coeffs)), lap1)
     lambda_bar = add(lap1, bar_term)
     Kbar = scale(compose(lap1_inv, bar_term), -1.0)
     upsilon_bar = subtract(identity_op(), Kbar)
     upsilon_bar_inv = neumann_inverse_op(Kbar, g, s=1.0, tol=NEUMANN_TOL,
                                          max_terms=NEUMANN_MAX_TERMS)
 
-    # Phi = I - K - R with R = (1-Delta)^{-1} P_{>N} G
-    high_zm = para_high_op(partition, Z_tilde_M.coeffs)
-    high_e2 = para_high_op(partition, E2.coeffs)
-    grad_para = add(*[
-        compose(deriv_op(g, l), high_e2, deriv_op(g, l)) for l in range(g.d)
-    ])
-    g_parts = [high_zm, grad_para]
+    # Phi = I - K - R with R = (1-Delta)^{-1} P_{>N} G; the paraproducts
+    # of G, w prec Z~^M + sum_l d_l (d_l w prec E2), run in one engine pass
+    g_parts = [blocks_op(g, high_side_blocks(partition, Z_tilde_M.coeffs) + [
+        blk for l in range(g.d)
+        for blk in high_side_blocks(partition, E2.coeffs, dl[l], dl[l])])]
     m_epw = mult_field_op(g, e_pw.coeffs)
     if not data.is_symmetric():
         # e^{P>M(V+W)} div(rho e^{P>M W} w): e^{P>M W} w once, then the d
@@ -353,9 +351,13 @@ _EXP_NAMES = ("e_pw", "e_pw_inv", "e_pwv", "e_pwv_inv", "e_pv2w")
 # r2c-5 formed Z~^M from 3d products, not d (certificates moved at
 # round-off); r2c-6 kept the Nyquist planes k_i = n/2, split and folded
 # them with weights, and ran its products on 3n/2 + 2 points (other
-# fields, products and certificates).  The factored KPZ nonlinearity
-# needed no stamp: verify_stack reloads W, never solves for it.
-KERNEL_VERSION = "r2c-7"
+# fields, products and certificates); r2c-7 applied A's drift term as
+# sum_l d_l (rho_l u) and ran each derivative of the paraproduct sums of
+# K and R as a full-lattice multiply around its own engine pass, where the
+# blocks now carry the derivatives (certificates moved at round-off).  The
+# factored KPZ nonlinearity needed no stamp: verify_stack reloads W, never
+# solves for it.
+KERNEL_VERSION = "r2c-8"
 
 
 def _certificates(stack: TransformStack) -> dict[str, float]:

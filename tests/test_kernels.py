@@ -20,7 +20,14 @@ from hypothesis import given, settings, strategies as st
 
 from paratorus.errors import FieldRangeError
 from paratorus import torus
-from paratorus.linops import mult_field_op, random_hermitian
+from paratorus.linops import (
+    add,
+    blocks_op,
+    compose,
+    mult_field_op,
+    multiplier_op,
+    random_hermitian,
+)
 from paratorus.lp import build_partition
 from paratorus.noise import (
     NoiseSpec,
@@ -29,10 +36,10 @@ from paratorus.noise import (
     sample_white_noise,
 )
 from paratorus.paraproducts import (
-    HighSidePara,
-    LowSidePara,
-    ResonantPara,
     bony_decompose,
+    high_side_blocks,
+    low_side_blocks,
+    resonant_blocks,
 )
 from paratorus.torus import (
     EXP_OVERFLOW_LIMIT,
@@ -187,14 +194,44 @@ def test_paraproducts_match_complex_reference(dn, side, seed):
     rng = np.random.default_rng(seed)
     fixed, x, y = (full_band(P.grid, rng) for _ in range(3))
     if side == "low":
-        engine = LowSidePara(P, fixed)
+        engine = blocks_op(P.grid, low_side_blocks(P, fixed))
         syms = (lambda j: P.partial_symbol(j - 1), P.block_symbol)
     else:
-        engine = HighSidePara(P, fixed)
+        engine = blocks_op(P.grid, high_side_blocks(P, fixed))
         syms = (P.block_symbol, lambda j: P.partial_symbol(j - 1))
     assert_close(engine.apply(x), ref_para(P, fixed, x, *syms, adjoint=False))
     assert_close(engine.adjoint(x), ref_para(P, fixed, x, *syms, adjoint=True))
     assert_adjoint(engine.apply, engine.adjoint, x, y)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(PARTITION_GRIDS), seeds)
+def test_paraproduct_sums_with_derivatives_match_composition(dn, seed):
+    # sum_l d_l (f prec d_l .), as Lambda and K run it, and
+    # . prec z + sum_l d_l (d_l . prec f), as R runs it: one pass each, the
+    # blocks carrying the derivatives, against per-side engines composed
+    # with full-lattice derivative multiplies
+    P = partition(*dn)
+    g = P.grid
+    rng = np.random.default_rng(seed)
+    f, z, x, y = (full_band(g, rng) for _ in range(4))
+    dl = g.deriv_symbols
+    D = [multiplier_op(np.broadcast_to(s, g.shape)) for s in dl]
+    low_f = blocks_op(g, low_side_blocks(P, f))
+    high_f = blocks_op(g, high_side_blocks(P, f))
+    cases = [
+        (blocks_op(g, [b for l in range(g.d)
+                       for b in low_side_blocks(P, f, dl[l], dl[l])]),
+         add(*[compose(D[l], low_f, D[l]) for l in range(g.d)])),
+        (blocks_op(g, high_side_blocks(P, z) + [
+            b for l in range(g.d) for b in high_side_blocks(P, f, dl[l], dl[l])]),
+         add(blocks_op(g, high_side_blocks(P, z)),
+             *[compose(D[l], high_f, D[l]) for l in range(g.d)])),
+    ]
+    for one_pass, ref in cases:
+        assert_close(one_pass.apply(x), ref.apply(x))
+        assert_close(one_pass.adjoint(x), ref.adjoint(x))
+        assert_adjoint(one_pass.apply, one_pass.adjoint, x, y)
 
 
 @settings(max_examples=20, deadline=None)
@@ -244,7 +281,8 @@ def test_every_field_has_zero_nyquist_planes(dn):
         outputs.append(sample_white_noise(g, 3).coeffs)
     if g.n >= 32:
         P = partition(*dn)
-        for engine in (LowSidePara(P, raw), ResonantPara(P, raw)):
+        for blocks in (low_side_blocks(P, raw), resonant_blocks(P, raw)):
+            engine = blocks_op(g, blocks)
             outputs += [engine.apply(raw), engine.adjoint(raw)]
     assert all(nyquist_free(x, g) for x in outputs)
 

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from paratorus import kpz
+from paratorus import kpz, noise
 from paratorus.errors import ConfigurationError, SolverDivergenceError
 from paratorus.kpz import (
     KpzProblem,
@@ -229,6 +231,41 @@ class TestAutoLambda:
             lam_small = auto_lambda(0.5 * base, zero_field(g), g).lam
             lam_big = auto_lambda(4.0 * base, zero_field(g), g).lam
             assert lam_big >= lam_small
+
+
+@pytest.mark.parametrize("seed, n", [(1, 128), (7, 128), (15, 32)])
+def test_solve_resumes_from_the_accepted_trial(monkeypatch, seed, n):
+    # enhance_generic's solve starts where auto_lambda's accepted trial
+    # stopped and ends (seeds 1, 7) or is refused (seed 15 at n = 32) as
+    # the solve from W = 0 at that lam, with the trial's steps fewer
+    # evaluations of the nonlinearity
+    problems = []
+    solve, evaluate = noise.solve_kpz, kpz.nonlinearity
+    monkeypatch.setattr(noise, "solve_kpz",
+                        lambda prob: problems.append(prob) or solve(prob))
+    try:
+        enhance_generic(NoiseSpec("generic_I", seed, amplitude=2.0), grid(2, n), 2.0**-3)
+    except SolverDivergenceError:
+        pass
+    [prob] = problems
+    assert prob.start is not None and prob.start.iterations > 1
+    calls = []
+    monkeypatch.setattr(kpz, "nonlinearity",
+                        lambda W, V: calls.append(1) or evaluate(W, V))
+
+    def outcome(p):
+        calls.clear()
+        try:
+            r = solve_kpz(p)
+        except SolverDivergenceError as exc:
+            return str(exc), len(calls)
+        return (r.W.coeffs.tobytes(), r.iterations, r.residual, r.trace), len(calls)
+
+    resumed, resumed_calls = outcome(prob)
+    from_zero, from_zero_calls = outcome(dataclasses.replace(prob, start=None))
+    assert resumed == from_zero
+    assert isinstance(resumed, str) == (seed == 15)
+    assert from_zero_calls - resumed_calls == prob.start.iterations
 
 
 @pytest.fixture(scope="module")

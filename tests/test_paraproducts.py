@@ -3,13 +3,14 @@ import pytest
 
 from paratorus import torus
 from paratorus.errors import ConfigurationError
+from paratorus.linops import blocks_op
 from paratorus.lp import build_partition, random_field_with_decay
 from paratorus.paraproducts import (
-    HighSidePara,
-    LowSidePara,
-    ResonantPara,
     bony_decompose,
     check_para_estimates,
+    high_side_blocks,
+    low_side_blocks,
+    resonant_blocks,
 )
 from paratorus.torus import (
     constant_field,
@@ -157,12 +158,13 @@ class TestParaApply:
 
 
 class TestFixedSideEngines:
-    @pytest.mark.parametrize("engine_cls", [LowSidePara, HighSidePara, ResonantPara])
-    def test_adjoint_pairing(self, P, engine_cls):
+    @pytest.mark.parametrize("blocks", [low_side_blocks, high_side_blocks,
+                                        resonant_blocks])
+    def test_adjoint_pairing(self, P, blocks):
         g = P.grid
         rng = np.random.default_rng(11)
         fixed = P.bandlimit(to_spectral(rng.standard_normal(g.shape), g))
-        engine = engine_cls(P, fixed.coeffs)
+        engine = blocks_op(g, blocks(P, fixed.coeffs))
         x = to_spectral(rng.standard_normal(g.shape), g).coeffs
         y = to_spectral(rng.standard_normal(g.shape), g).coeffs
         lhs = np.vdot(y, engine.apply(x))

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from paratorus import paraproducts
 from paratorus.errors import ConfigurationError
 from paratorus.linops import (
     NORM_SETTLE_TOL,
@@ -28,6 +29,7 @@ from paratorus.torus import (
     l2_norm,
     laplacian,
     pointwise_product,
+    product_size,
     project_frequencies,
     sobolev_norm,
     sobolev_scale,
@@ -267,6 +269,28 @@ def test_flat_theta_matches_nested(request, name):
             assert coeff_norm(op.apply(u) - want) <= 1e-12 * coeff_norm(want)
 
 
+def test_one_engine_pass_per_paraproduct_sum(drift_stack, monkeypatch):
+    # K + R: the paraproducts of K in one pass and those of R in another,
+    # the derivatives carried by the blocks, then the three products of
+    # the drift term (by e^{P>M W}, rho_l, e^{P>M(V+W)}) on the product grid
+    g = drift_stack.grid
+    grids = []
+    run = paraproducts._FixedSidePara._run
+
+    def counted(self, plan, coeffs):
+        grids.append({m for m, _ in plan[0]})
+        return run(self, plan, coeffs)
+
+    monkeypatch.setattr(paraproducts._FixedSidePara, "_run", counted)
+    k_plus_r = subtract(identity_op(), drift_stack.phi)
+    x = random_hermitian(g, np.random.default_rng(0))
+    for fn in (k_plus_r.apply, k_plus_r.adjoint):
+        grids.clear()
+        fn(x)
+        on_product_grid = [m == {product_size(g.n)} for m in grids]
+        assert sorted(on_product_grid) == [False, False, True, True, True]
+
+
 OPERATOR_FIELDS = ("lambda_", "lambda_bar", "upsilon", "upsilon_inv",
                    "upsilon_bar", "upsilon_bar_inv", "phi", "gamma", "theta",
                    "theta_inv")
@@ -476,14 +500,16 @@ class TestPersistence:
             verify_stack(tmp_path / "stack")
 
     @pytest.mark.parametrize("stamp", ["r2c-1", "r2c-2", "r2c-3", "r2c-4", "r2c-5",
-                                       "r2c-6"])
+                                       "r2c-6", "r2c-7"])
     def test_previous_stamp_refused(self, anderson_stack, tmp_path, stamp):
         # r2c-1 stacks certified the nested Phi, so their cert_phi means
         # another norm; r2c-2 stacks took their exponentials from complex
         # FFTs, r2c-3 stacks measured their norms by power iteration,
         # r2c-4 stacks ran their products on the doubled grid, r2c-5
-        # stacks formed Z~^M from 3d products, and r2c-6 stacks kept the
-        # Nyquist planes, so none re-verifies bit for bit
+        # stacks formed Z~^M from 3d products, r2c-6 stacks kept the
+        # Nyquist planes, and r2c-7 stacks multiplied the derivatives of
+        # K and R outside the paraproduct passes, so none re-verifies bit
+        # for bit
         save_stack(anderson_stack, tmp_path / "stack")
         path = tmp_path / "stack" / "stack_meta"
         meta = path.read_text().replace(f"kernel={KERNEL_VERSION}\n", f"kernel={stamp}\n")
