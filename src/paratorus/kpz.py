@@ -10,10 +10,10 @@ whose fixed points satisfy the equation exactly as displayed.  For rough
 data the iteration contracts once lam is large enough; auto_lambda doubles
 lam until a contraction window is observed, and solve_kpz resumes from the
 steps of the trial it accepts instead of taking them again.  The
-nonlinearity is evaluated
-as sum_l d_l W . d_l(W - V), by bilinearity d dealiased products instead
-of 2d, and solve_kpz evaluates it once per step: at W_k it gives both the
-residual of W_k and the next iterate W_{k+1}.
+nonlinearity is evaluated as sum_l d_l W . d_l(W - V), by bilinearity d
+dealiased products instead of 2d, and solve_kpz evaluates it once per
+step: at W_k it gives both the residual of W_k and the next iterate
+W_{k+1}.
 """
 
 from __future__ import annotations

@@ -33,6 +33,7 @@ from paratorus.operators import (
 )
 from paratorus.torus import (
     constant_field,
+    div,
     field_from_coeffs,
     grad,
     grid,
@@ -122,6 +123,18 @@ def drift_data():
 
 
 @pytest.fixture(scope="module")
+def compressible_drift_data(drift_data):
+    # A keeps div rho in its potential, so the drift form does not rest on
+    # rho being divergence-free
+    g = drift_data.grid
+    rng = np.random.default_rng(3)
+    rho = tuple(field_from_coeffs(g, random_hermitian(g, rng, kmax=8.0))
+                for _ in range(g.d))
+    assert l2_norm(div(list(rho))) > 1.0
+    return dataclasses.replace(drift_data, rho=rho)
+
+
+@pytest.fixture(scope="module")
 def anderson_data():
     return enhance_anderson2d(grid(2, 64), 2.0**-3, seed=5)
 
@@ -148,7 +161,8 @@ def test_anderson_operator_is_symmetric():
 
 
 class TestFusedA:
-    @pytest.mark.parametrize("name", ["drift_data", "anderson_data"])
+    @pytest.mark.parametrize("name", ["drift_data", "compressible_drift_data",
+                                      "anderson_data"])
     def test_matches_term_by_term_reference(self, request, name):
         data = request.getfixturevalue(name)
         g = data.grid
