@@ -2,38 +2,33 @@
 
 Everything the transform stack composes is one of: a Fourier multiplier
 (adjoint: conjugate symbol), a dealiased multiplication by a real field
-(self-adjoint in the grid-mean inner product), or a fixed-side
-paraproduct (adjoint: mirrored block composition).  Carrying the adjoint
-alongside each operator lets operator norms be estimated by Golub-Kahan-
-Lanczos bidiagonalization, which runs T and T* alternately, including in
-Sobolev-weighted spaces via conjugation with the diagonal weights.
+(self-adjoint), or a fixed-side paraproduct (adjoint: mirrored block
+composition).  Carrying the adjoint alongside each operator lets operator
+norms be estimated by Golub-Kahan-Lanczos bidiagonalization, which runs T
+and T* alternately, also in Sobolev-weighted spaces via conjugation with
+the diagonal weights.
 
 The multiplications and paraproducts are block lists of the one
 dealiased-product engine, `paraproducts._FixedSidePara`, and `blocks_op`
-makes any such list one operator that runs in one transform pass: a
-field multiplication is a single unfiltered block on the product grid
+runs any such list as one operator in one transform pass: a field
+multiplication is one unfiltered block on the product grid
 `torus.product_size(n)` (about 3n/2, where it is exact), a sum of
 multiplications with derivatives before or after them is
 `field_products_op`, and a sum of paraproducts with derivatives, such as
-sum_l d_l (f prec d_l w), is the concatenation of the lists of
-`paraproducts.low_side_blocks` and `high_side_blocks`, the blocks
-carrying the derivatives.  The engine caches one physical factor per
-(grid, fixed field, fixed symbol) and each symbol factor once per block
-lattice.
-The engine runs real FFTs on the half spectrum (last-axis frequency
-index 0..n/2) and returns its Hermitian completion, so the other half of
-the input is never read: the operators act on Hermitian coefficient
-arrays, the coefficients of real fields, and are linear over the reals.
-Solvers and eigen iterations that use them must therefore combine
-vectors with real scalars only.  The engine reads and writes the kept
-modes only (`torus`: zero Nyquist planes), so a multiplication by a real
-field is exactly symmetric.
+sum_l d_l (f prec d_l w), concatenates the lists of
+`paraproducts.low_side_blocks` and `high_side_blocks`, the blocks carrying
+the derivatives.
 
-The inner product throughout is the plain l^2 product of coefficient
-arrays, which by the transform normalization equals the grid-mean L^2
-product of the physical fields; on Hermitian arrays it is real.
+The operators act on the stored coefficients of real fields (`torus`: the
+half lattice in orthonormal coordinates, zero Nyquist entries, a
+Hermitian column k_d = 0).  They are linear over the reals only, so
+solvers and eigen iterations that use them must combine vectors with real
+scalars.  The inner product throughout is the real part of the plain l^2
+product of coefficient arrays, which in these coordinates is the
+grid-mean L^2 product of the fields.  The engine reads and writes the
+kept modes only, so a multiplication by a real field is exactly
+symmetric.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -43,7 +38,7 @@ import numpy as np
 
 from .errors import CertificateError
 from .paraproducts import Block, _FixedSidePara
-from .torus import Grid, constant_value, product_size
+from .torus import Grid, constant_value, gaussian_coeffs, product_size
 
 Array = np.ndarray
 
@@ -204,8 +199,7 @@ def neumann_inverse_op(step: LinOp, g: Grid, s: float = 1.0,
 
 
 def random_hermitian(g: Grid, rng: np.random.Generator, kmax: float | None = None) -> Array:
-    z = (rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)) / np.sqrt(2)
-    c = g.hermitian_part(z)
+    c = gaussian_coeffs(g, rng)
     if kmax is not None:
         c = np.where(g.kabs <= kmax, c, 0.0)
     return c

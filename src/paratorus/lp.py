@@ -27,6 +27,7 @@ from .torus import (
     Grid,
     SpectralField,
     field_from_coeffs,
+    gaussian_coeffs,
     lp_norm,
     l2_norm,
 )
@@ -121,7 +122,7 @@ class DyadicPartition:
     def partial_symbol(self, j: int) -> np.ndarray:
         """Symbol of S_j = sum over blocks i < j; zero operator for j <= -1."""
         if j <= -1:
-            return np.zeros(self.grid.shape)
+            return np.zeros(self.grid.half_shape)
         if j not in self._s_cache:
             # telescoping: chi + sum_{i<j} rho(2^-i .) = chi(2^-j .)
             self._s_cache[j] = chi_profile(self.grid.kabs / 2.0**j)
@@ -152,8 +153,8 @@ def decompose(f: SpectralField, P: DyadicPartition):
     if P.grid != f.grid:
         raise ConfigurationError("partition was built on a different grid")
     blocks = [block(f, P, j) for j in range(-1, P.j_max + 1)]
-    sums = [field_from_coeffs(f.grid, np.zeros(f.grid.shape, complex))]
-    acc = np.zeros(f.grid.shape, np.complex128)
+    sums = [field_from_coeffs(f.grid, np.zeros(f.grid.half_shape, complex))]
+    acc = np.zeros(f.grid.half_shape, np.complex128)
     for b in blocks:
         acc = acc + b.coeffs
         sums.append(field_from_coeffs(f.grid, acc))
@@ -181,25 +182,22 @@ def random_field_with_decay(
 ) -> SpectralField:
     """Spectral model of B^alpha-regular randomness:
     coefficients |k|^{-alpha - d/2} times standard complex Gaussians."""
-    z = (rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)) / np.sqrt(2)
     with np.errstate(divide="ignore"):
         amp = np.where(g.kabs > 0, g.kabs ** (-(alpha + g.d / 2.0)), 0.0)
     if kmax is not None:
         amp = np.where(g.kabs <= kmax, amp, 0.0)
-    return field_from_coeffs(g, amp * z)
+    return field_from_coeffs(g, amp * gaussian_coeffs(g, rng))
 
 
 def random_ball_field(g: Grid, lam: float, rng: np.random.Generator) -> SpectralField:
-    z = (rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)) / np.sqrt(2)
-    return field_from_coeffs(g, np.where(g.kabs <= lam, z, 0.0))
+    return field_from_coeffs(g, np.where(g.kabs <= lam, gaussian_coeffs(g, rng), 0.0))
 
 
 def random_annulus_field(
     g: Grid, lam: float, rng: np.random.Generator, inner: float = 0.5, outer: float = 2.0
 ) -> SpectralField:
-    z = (rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)) / np.sqrt(2)
     mask = (g.kabs >= inner * lam) & (g.kabs <= outer * lam)
-    return field_from_coeffs(g, np.where(mask, z, 0.0))
+    return field_from_coeffs(g, np.where(mask, gaussian_coeffs(g, rng), 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +226,7 @@ class CheckReport:
 
 
 def _derivative_symbol(g: Grid, mu: tuple) -> np.ndarray:
-    sym = np.ones(g.shape, np.complex128)
+    sym = np.ones(g.half_shape, np.complex128)
     for axis, order in enumerate(mu):
         for _ in range(order):
             sym = sym * g.deriv_symbols[axis]

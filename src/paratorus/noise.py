@@ -37,6 +37,7 @@ from .torus import (
     constant_field,
     div,
     field_from_coeffs,
+    gaussian_coeffs,
     grad,
     l2_norm,
     read_pcf1,
@@ -69,9 +70,7 @@ def sample_white_noise(g: Grid, seed: int) -> SpectralField:
     Hermitian-symmetrized, mean-zero."""
     if g.d not in (2, 3):
         raise ConfigurationError(f"white noise requires d = 2 or 3, got d={g.d}")
-    rng = np.random.default_rng(seed)
-    z = (rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)) / np.sqrt(2)
-    coeffs = g.hermitian_part(z) * np.sqrt(2.0)
+    coeffs = gaussian_coeffs(g, np.random.default_rng(seed)) * np.sqrt(2.0)
     coeffs[(0,) * g.d] = 0.0
     return SpectralField(g, np.ascontiguousarray(coeffs))
 
@@ -93,7 +92,8 @@ def wick_constant(g: Grid, eps: float, mollifier=heat_mollifier) -> float:
     terms[(0,) * g.d] = 0.0
     for plane in g.nyquist:  # modes no field keeps
         terms[plane] = 0.0
-    return float(np.sum(terms))
+    # the half lattice: a column k_d > 0 stands for its mirror -k too
+    return float(np.sum(terms[..., 0]) + 2.0 * np.sum(terms[..., 1:]))
 
 
 def helmholtz_project(v: list[SpectralField]) -> list[SpectralField]:

@@ -51,7 +51,6 @@ from .torus import (
     constant_field,
     div,
     field_from_coeffs,
-    full_spectrum,
     grad,
     grid,
     l2_norm,
@@ -81,12 +80,12 @@ class AOperator:
     grid: in 2d three inverse transforms (of u, d_1 u, d_2 u) and one
     forward transform, three forward and one inverse for the adjoint.  A
     constant potential multiplies exactly, without transforms, and zero
-    terms are left out, so on such data A is (1-Delta) + c exactly."""
+    terms are left out, so on such data A is (1-Delta) + c exactly.  That
+    pass is `lower`."""
 
     def __init__(self, data: EnhancedData):
         g = data.grid
         self.data = data
-        parts = [multiplier_op(g.sobolev_symbol(2.0))]
         potential = data.xi + constant_field(g, data.c_eps)
         drift = grad(data.V) if l2_norm(data.V) > 0.0 else []
         if not data.is_symmetric():
@@ -94,9 +93,8 @@ class AOperator:
             drift = [r + b for r, b in zip(data.rho, drift)] if drift else data.rho
         terms = [(potential.coeffs, None, None)] if np.any(potential.coeffs != 0.0) else []
         terms += [(b.coeffs, g.deriv_symbols[l], None) for l, b in enumerate(drift)]
-        if terms:
-            parts.append(field_products_op(g, terms))
-        self.op = add(*parts)
+        self.lower = field_products_op(g, terms)
+        self.op = add(multiplier_op(g.sobolev_symbol(2.0)), self.lower)
         # symmetric as a plain L^2 operator only without drift and potential
         # gradient terms (the xi + c multiplication is always symmetric)
         self.l2_symmetric = data.is_symmetric() and l2_norm(data.V) == 0.0
@@ -314,7 +312,8 @@ class ResolventResult:
 
 class ResolventOperator:
     """Matrix-free (lam0 + A)^{-1} via a preconditioned Krylov solver with
-    the constant-coefficient preconditioner (lam0 + 1 - Delta)^{-1}."""
+    the constant-coefficient preconditioner (lam0 + 1 - Delta)^{-1}; lam0 + A
+    is that symbol plus A's lower-order pass."""
 
     def __init__(self, data: EnhancedData, lam0: float, tol: float = 1e-10,
                  max_iter: int = 400):
@@ -325,9 +324,9 @@ class ResolventOperator:
         self.max_iter = max_iter
         a = AOperator(data)
         self.a_op = a
-        shift = multiplier_op(np.full(g.shape, lam0, dtype=float))
-        self.s_op = add(shift, a.op)
-        psym = 1.0 / (lam0 + g.sobolev_symbol(2.0))
+        shifted = lam0 + g.sobolev_symbol(2.0)
+        self.s_op = add(multiplier_op(shifted), a.lower)
+        psym = 1.0 / shifted
         self.precond = lambda r: psym * r
         self.symmetric = a.l2_symmetric
         self.last_iterations = 0
@@ -391,26 +390,18 @@ _BASIS_BLOCKS = 6
 _RESTART_BLOCKS = 3
 
 
-def _row(coeffs: np.ndarray, g) -> np.ndarray:
-    """The basis row of a Hermitian coefficient array: its half spectrum
-    (last-axis frequencies 0..n/2) as reals, the columns whose conjugates
-    it leaves out scaled by sqrt 2, so that the dot product of two rows is
-    the real inner product `_inner` of the arrays at half the storage."""
-    half = coeffs[..., : g.n // 2 + 1].copy()
-    half[..., 1: g.n // 2] *= np.sqrt(2.0)
-    return half.reshape(-1).view(np.float64)
+def _row(coeffs: np.ndarray) -> np.ndarray:
+    """The basis row of a coefficient array: the array viewed as reals, so
+    that the dot product of two rows is the real inner product `_inner`."""
+    return np.ascontiguousarray(coeffs).reshape(-1).view(np.float64)
 
 
 def _field(row: np.ndarray, g) -> np.ndarray:
-    """The Hermitian coefficient array of a basis row.
-
-    Taking the Hermitian part matters: an anti-Hermitian round-off
-    remainder in the self-conjugate entries (an imaginary k = 0 entry, say)
-    would otherwise be an eigenvector too, which removing converged
-    directions amplifies until it is returned as a spurious copy."""
-    half = row.view(np.complex128).reshape(g.shape[:-1] + (g.n // 2 + 1,)).copy()
-    half[..., 1: g.n // 2] /= np.sqrt(2.0)
-    return g.hermitian_part(full_spectrum(half, g.n))
+    """The coefficient array of a basis row, projected onto those of real
+    fields: an anti-Hermitian round-off remainder on the column k_d = 0
+    (an imaginary k = 0 entry, say) would otherwise be an eigenvector too,
+    which removing converged directions amplifies into a spurious copy."""
+    return field_from_coeffs(g, row.view(np.complex128).reshape(g.half_shape)).coeffs
 
 
 def _orthonormalize_block(V, W):
@@ -498,13 +489,13 @@ def spectrum(data: EnhancedData, lam0: float, k_eigs: int, seed: int = 0,
     def apply_r(row):
         x = _field(row, g)
         if symmetric:
-            return _row(rop.solve_coeffs(x), g)
-        return _row(0.5 * (rop.solve_coeffs(x) + rop.solve_adjoint_coeffs(x)), g)
+            return _row(rop.solve_coeffs(x))
+        return _row(0.5 * (rop.solve_coeffs(x) + rop.solve_adjoint_coeffs(x)))
 
     rng = np.random.default_rng(seed)
     m = k_eigs + buffer
     cap = _BASIS_BLOCKS * m
-    W = np.array([_row(random_hermitian(g, rng), g) for _ in range(m)])
+    W = np.array([_row(random_hermitian(g, rng)) for _ in range(m)])
     basis = np.empty((cap, W.shape[1]))
     basis[:m] = np.linalg.qr(W.T)[0].T
     # H[i, j] = <basis_i, R basis_j> for the first p basis rows j; the rows

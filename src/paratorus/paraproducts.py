@@ -11,36 +11,34 @@ with S_{j-1} the zero operator for j - 1 < -1.  Every term is an exact
 to the dealiased pointwise product for resolved inputs.
 
 One engine, `_FixedSidePara`, evaluates every product with a cached
-factor: a sum of blocks, each the exact product of two filtered fields
-on the smallest grid that holds it alias-free, at most the product grid
-`torus.product_size(n)` (about 3n/2).  Each block carries its own fixed
-factor and may filter its input and its output, with a derivative as
-well as a Littlewood-Paley block, and a sum of blocks runs in one
-transform pass: blocks on one grid share the inverse transform of a
-common input and the forward transform of a common output.  The
-builders `low_side_blocks`, `high_side_blocks` and `resonant_blocks`
-return the block lists of one paraproduct, and a sum such as
-sum_l d_l (f prec d_l w) is the concatenation of their lists, run by
-`linops.blocks_op` in one pass; `bony_decompose` and
-`linops.field_products_op` (the field multiplications, alone or summed
-as in the operator A) are block lists for it too.  The engine restricts
-each symbol factor to a block lattice once and applies a block's
-factors one at a time, and it caches one physical factor per (grid,
-fixed field, fixed symbol), so the blocks of such a sum share their
-factors whatever their derivatives.  It has an exact adjoint and keeps
-its private name because benchmark tooling patches it by that name.
-Like `torus.pointwise_product` it transforms through
-`torus.reflected_values`/`reflected_spectrum`, so every dealiased product
-of the package runs the same real FFTs.
+factor: a sum of blocks, each the exact product of two filtered fields on
+the smallest grid that holds it alias-free, at most the product grid
+`torus.product_size(n)` (about 3n/2).  A block carries its own fixed
+factor and may filter its input and its output, with a derivative as well
+as a Littlewood-Paley block, and a sum of blocks runs in one transform
+pass: blocks on one grid share the inverse transform of a common input
+and the forward transform of a common output.  The builders
+`low_side_blocks`, `high_side_blocks` and `resonant_blocks` return the
+block lists of one paraproduct; a sum such as sum_l d_l (f prec d_l w)
+concatenates their lists, run by `linops.blocks_op`, and `bony_decompose`
+and `linops.field_products_op` are block lists for it too.  The engine
+restricts each symbol factor to a block lattice once and caches one
+physical factor per (grid, fixed field, fixed symbol), so the blocks of
+such a sum share their factors whatever their derivatives.  It has an
+exact adjoint and keeps its private name because benchmark tooling
+patches it by that name.  Like `torus.pointwise_product` it takes the
+moving field through `torus.reflected_values`/`reflected_spectrum` and
+its fixed factors at `torus.true_values`, so the stored coefficients'
+sqrt 2 costs it no pass over an array.
 
 A block moves its input to the m-lattice and the product back by copying
 the modes both lattices keep (`torus.resample_half`), so the move back is
 the adjoint of the move there, and the engine's adjoint runs the same
-moves with the symbols swapped.  The Nyquist planes of every lattice,
-the n-lattice of the output included, stay zero.  On a paraproduct block
-grid m < n this drops nothing: the block's symbols vanish at |k| >= m/2
-(the Littlewood-Paley supports reach 8/3 and 16/3 of 2^j against
-m/2 = 4 and 8 of 2^j), and so does the product.
+moves with the symbols swapped.  The Nyquist entries of every lattice
+stay zero.  On a paraproduct block grid m < n this drops nothing: the
+block's symbols vanish at |k| >= m/2 (the Littlewood-Paley supports reach
+8/3 and 16/3 of 2^j against m/2 = 4 and 8 of 2^j), and so does the
+product.
 """
 
 from __future__ import annotations
@@ -55,11 +53,13 @@ from .torus import (
     Grid,
     SpectralField,
     field_from_coeffs,
-    full_spectrum,
+    hermitian_coeffs,
+    make_real,
     product_size,
     reflected_spectrum,
     reflected_values,
     resample_half,
+    true_values,
 )
 
 
@@ -81,7 +81,7 @@ def bony_decompose(
 # the dealiased-product engine and its block lists
 
 def _on_block_grid(sym: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Half spectrum of a symbol on the m-lattice (m <= n)."""
+    """A symbol on the n-lattice restricted to the m-lattice (m <= n)."""
     k = np.arange(m)
     src = np.where(k <= m // 2, k, k + n - m)
     return sym[np.ix_(*([src] * (sym.ndim - 1) + [src[: m // 2 + 1]]))]
@@ -143,14 +143,15 @@ class _FixedSidePara:
     to the m-lattice and back, and its symbols act on the smaller of the
     two lattices.  A sum of blocks runs in one transform pass: one inverse
     transform per (m, input factors), one forward transform per (m, output
-    factors), all adding into one half spectrum that is completed to the
-    full Hermitian array once per call.  Each symbol factor is restricted
+    factors), all adding into one coefficient array whose column k_d = 0
+    is made exactly Hermitian once per call.  Each symbol factor is restricted
     to a lattice once, and each physical factor is computed once per
     (m, fixed field, fixed symbol), so blocks that differ only in their
     derivatives share both.
     """
 
     def __init__(self, g: Grid, blocks):
+        self.grid = g
         self.n = n = g.n
         restricted = {}
 
@@ -160,7 +161,7 @@ class _FixedSidePara:
                 c = conj and np.iscomplexobj(s)
                 key = (min(m, n), id(s), c)
                 if key not in restricted:
-                    h = _on_block_grid(np.broadcast_to(s, g.shape), n, min(m, n))
+                    h = _on_block_grid(np.broadcast_to(s, g.half_shape), n, min(m, n))
                     restricted[key] = np.conj(h) if c else h
                 out.append(restricted[key])
             return tuple(out)
@@ -170,8 +171,7 @@ class _FixedSidePara:
         for b in blocks:
             key = (b.m, id(b.fixed), id(b.fixed_sym))
             if key not in phys:
-                phys[key] = reflected_values(resample_half(
-                    b.fixed, n, b.m, half(b.m, b.fixed_sym)), b.m)
+                phys[key] = true_values(b.fixed, n, b.m, half(b.m, b.fixed_sym))
             cached.append(phys[key])
         self._forward = _plan(blocks, "in_sym", "out_sym", half, cached)
         self._backward = _plan(blocks, "out_sym", "in_sym",
@@ -190,7 +190,7 @@ class _FixedSidePara:
             for i in done:
                 vals[i] = None
             out = resample_half(reflected_spectrum(phys), m, n, sym, out)
-        return full_spectrum(out, n)
+        return make_real(self.grid, out)
 
     def apply(self, coeffs: np.ndarray) -> np.ndarray:
         return self._run(self._forward, coeffs)
@@ -251,7 +251,7 @@ def adversarial_pair(P: DyadicPartition, a1: float, a2: float,
     top = P.rho[P.j_max] + P.rho[P.j_max - 1]
     with np.errstate(divide="ignore"):
         mag = np.where(g.kabs > 0, g.kabs ** (-(a1 + g.d / 2.0)), 0.0)
-    base = np.abs(rng.standard_normal(g.shape))
+    base = hermitian_coeffs(g, np.abs(rng.standard_normal(g.shape)))
     f = field_from_coeffs(g, top * mag * base)
     with np.errstate(divide="ignore"):
         mag2 = np.where(g.kabs > 0, g.kabs ** (-(a2 + g.d / 2.0)), 0.0)

@@ -1,35 +1,36 @@
 """Discretized periodic torus with spectral calculus.
 
-Fields on T^d = (R/Z)^d are stored as Fourier coefficients on the
-integer lattice k in {-n/2+1, ..., n/2}^d kept in FFT layout
-(0, 1, ..., n/2, -n/2+1, ..., -1 per axis).  The transform convention is
+Fields on T^d = (R/Z)^d are Fourier series on the integer lattice
+k in {-n/2+1, ..., n/2}^d, in FFT layout (0, 1, ..., n/2, -n/2+1, ..., -1
+per axis), with hat(u)(k) the grid mean of e^{+2 pi i k.x} u(x) and
+u(x) = sum over k of e^{-2 pi i k.x} hat(u)(k): a constant maps to the
+k=0 coefficient unchanged, and d/dx_j is the symbol -2 pi i k_j.
 
-    hat(u)(k) = mean over grid points of e^{+2 pi i k.x} u(x)
-    u(x)      = sum over k of e^{-2 pi i k.x} hat(u)(k)
+A real field has hat(u)(-k) = conj hat(u)(k), so it is stored as the half
+lattice k_d = 0..n/2 (`Grid.half_shape`, the layout of numpy's real FFTs),
+each entry off the column k_d = 0 scaled by sqrt 2, since it stands for
+its mirror -k too.  Then the real l^2 product of coefficient arrays is the
+grid-mean L^2 product of the fields, and `l2_norm` the l^2 norm of the
+array.  Fourier symbols live on the half lattice (`Grid.kaxes`, `ksq`,
+`kabs`, `deriv_symbols`) and commute with the scaling.  Only this module
+knows the layout; `make_real`, which `field_from_coeffs` calls, enforces
+its one invariant: zero Nyquist entries (rows k_i = n/2, column
+k_d = n/2) and an exactly Hermitian column k_d = 0, c[k', 0] =
+conj c[-k', 0].  So the kept modes are |k_i| <= n/2 - 1, moving between
+lattices copies the modes both keep (the two moves are each other's
+adjoints), and a dealiased product, truncated to the kept modes, is
+symmetric.
 
-so a constant maps to the k=0 coefficient unchanged, the first
-derivative along axis j is the symbol -2 pi i k_j, and Parseval reads
-sum |hat(u)(k)|^2 = grid mean of u^2.
-
-Every field has zero entries on the Nyquist planes k_i = n/2: the kept
-modes are |k_i| <= n/2 - 1.  `Grid.hermitian_part`, which every
-constructor calls, zeroes those planes, every product and exponential
-truncates to the kept modes, and `read_pcf1` refuses a file with a
-non-zero entry there.  So no entry is self-conjugate but k = 0, every
-Fourier symbol maps real fields to real fields, and moving between
-lattices copies the modes both keep, in either direction: the two moves
-are each other's adjoints, and a dealiased product is symmetric.
-
-Every transform is a real FFT on half spectra (last-axis index 0..n/2).
-`reflected_values`/`reflected_spectrum` hold its normalization and sign,
-which list a field's values at -x: products and `exp_field` commute with
-that, `to_physical` and `to_spectral` conjugate.  A quadratic product
-runs on the product grid `product_size(n)`, the smallest grid on which
-it is alias-free (Orszag's 3/2 rule, rounded up to a fast FFT size);
-`exp_field`, whose integrand is not band-limited, keeps the doubled grid
-2n.  The package does not call `split_lattice`/`fold_lattice`; they
-serve as the tests' complex reference and as names the benchmark tracer
-binds.
+Every transform is a real FFT.  `reflected_values`/`reflected_spectrum`
+hold its normalization, its sign and the sqrt 2, scaling only the column
+k_d = 0: they give sqrt 2 times a field's values at -x, which against a
+factor at its true values (`true_values`, scaled on the smaller lattice)
+makes a dealiased product with no pass over an array beyond the FFTs.
+Quadratic products run on `product_size(n)`, the smallest alias-free grid
+(Orszag's 3/2 rule, rounded up to a fast FFT size), and `exp_field`, not
+band-limited, on 2n.  The package does not call `split_lattice` and
+`fold_lattice`, which act on full lattices; the benchmark tracer binds
+them by name.
 
 All operations are pure functions of immutable values and are safe to
 call concurrently; nothing here caches FFT state.
@@ -48,6 +49,7 @@ from .errors import ConfigurationError, DataError, FieldRangeError, MultiplierEr
 
 HERMITIAN_RESIDUE_TOL = 1e-13
 EXP_OVERFLOW_LIMIT = 700.0
+_SQRT2 = np.sqrt(2.0)
 
 
 class HermitianResidueWarning(UserWarning):
@@ -61,7 +63,10 @@ def _lattice_freqs(n: int) -> np.ndarray:
 
 
 class Grid:
-    """A d-dimensional n^d grid on the unit torus (n a power of two, >= 8)."""
+    """A d-dimensional n^d grid on the unit torus (n a power of two, >= 8).
+
+    `shape` is that of the physical samples, `half_shape` that of the
+    stored coefficients, on which the frequency tables live."""
 
     def __init__(self, d: int, n: int):
         if d not in (1, 2, 3):
@@ -71,17 +76,21 @@ class Grid:
         self.d = d
         self.n = n
         self.shape = (n,) * d
+        self.half_shape = (n,) * (d - 1) + (n // 2 + 1,)
         self.size = n**d
         freqs = _lattice_freqs(n)
+        per_axis = [freqs] * (d - 1) + [freqs[: n // 2 + 1]]
         # broadcastable per-axis frequency arrays
         self.kaxes = [
-            freqs.reshape([n if a == ax else 1 for a in range(d)]) for ax in range(d)
+            k.reshape([-1 if a == ax else 1 for a in range(d)])
+            for ax, k in enumerate(per_axis)
         ]
         self.ksq = sum(ka**2 for ka in self.kaxes)
         self.kabs = np.sqrt(self.ksq)
+        # k' -> -k' on the column k_d = 0
         rev = (-np.arange(n)) % n
-        self._rev_ix = np.ix_(*([rev] * d))
-        # index of the Nyquist plane k_i = n/2, one per axis
+        self._mirror0 = np.ix_(*([rev] * (d - 1)))
+        # index of the Nyquist entries k_i = n/2, one per axis
         self.nyquist = tuple((slice(None),) * ax + (n // 2,) for ax in range(d))
         self.deriv_symbols = [(-2j * np.pi) * ka for ka in self.kaxes]
 
@@ -102,14 +111,6 @@ class Grid:
     def meshgrid(self) -> list[np.ndarray]:
         return list(np.meshgrid(*self.axes(), indexing="ij"))
 
-    def hermitian_part(self, coeffs: np.ndarray) -> np.ndarray:
-        """The coefficients of the real part of the field, Nyquist planes
-        zeroed."""
-        out = 0.5 * (coeffs + np.conj(coeffs[self._rev_ix]))
-        for plane in self.nyquist:
-            out[plane] = 0.0
-        return out
-
     def sobolev_symbol(self, s: float) -> np.ndarray:
         return (1.0 + 4.0 * np.pi**2 * self.ksq) ** (s / 2.0)
 
@@ -122,16 +123,16 @@ def grid(d: int, n: int) -> Grid:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """A real-valued function on the torus held as Fourier coefficients."""
+    """A real-valued function on the torus held as its stored coefficients."""
 
     grid: Grid
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.coeffs.shape != self.grid.shape:
+        if self.coeffs.shape != self.grid.half_shape:
             raise ConfigurationError(
                 f"coefficient array shape {self.coeffs.shape} does not match "
-                f"grid shape {self.grid.shape}"
+                f"the grid's coefficient shape {self.grid.half_shape}"
             )
         self.coeffs.flags.writeable = False
 
@@ -160,63 +161,98 @@ def _check_same_grid(f: SpectralField, g: SpectralField):
         raise ConfigurationError(f"grid mismatch: {f.grid} vs {g.grid}")
 
 
-def _symmetrize(g: Grid, coeffs: np.ndarray, warn: bool = True) -> np.ndarray:
-    sym = g.hermitian_part(coeffs)
-    if warn:
-        scale = np.max(np.abs(sym))
-        if scale > 0.0:
-            residue = np.max(np.abs(coeffs - sym)) / scale
-            if residue > HERMITIAN_RESIDUE_TOL:
-                warnings.warn(
-                    f"discarded anti-Hermitian residue {residue:.3e} "
-                    f"(relative) exceeds {HERMITIAN_RESIDUE_TOL:.0e}",
-                    HermitianResidueWarning,
-                    stacklevel=3,
-                )
-    return sym
+def make_real(g: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """Project `coeffs`, in place, onto the coefficients of a real field:
+    zero the Nyquist entries and replace the column k_d = 0 by its
+    Hermitian part, an n^(d-1) operation.  Returns `coeffs`."""
+    for plane in g.nyquist:
+        coeffs[plane] = 0.0
+    col = coeffs[..., 0]
+    col[...] = 0.5 * (col + np.conj(col[g._mirror0]))
+    return coeffs
 
 
-def field_from_coeffs(g: Grid, coeffs: np.ndarray, warn: bool = False) -> SpectralField:
-    """Wrap raw coefficients, enforcing Hermitian symmetry."""
-    c = _symmetrize(g, np.asarray(coeffs, np.complex128), warn=warn)
-    return SpectralField(g, np.ascontiguousarray(c))
+def field_from_coeffs(g: Grid, coeffs: np.ndarray) -> SpectralField:
+    """Wrap a copy of raw coefficients, projected by make_real."""
+    return SpectralField(g, make_real(g, np.array(coeffs, np.complex128)))
 
 
 def zero_field(g: Grid) -> SpectralField:
-    return SpectralField(g, np.zeros(g.shape, np.complex128))
+    return SpectralField(g, np.zeros(g.half_shape, np.complex128))
 
 
 def constant_field(g: Grid, value: float) -> SpectralField:
-    c = np.zeros(g.shape, np.complex128)
+    c = np.zeros(g.half_shape, np.complex128)
     c[(0,) * g.d] = value
     return SpectralField(g, c)
 
 
+@lru_cache(maxsize=None)
+def _column_weights(n: int, power: int) -> np.ndarray:
+    """sqrt(2)^power on the columns k_d > 0 of the n-lattice, 1 on k_d = 0:
+    power 1 takes a real FFT's half spectrum to stored coefficients."""
+    w = np.full(n // 2 + 1, _SQRT2 if power > 0 else 1.0 / _SQRT2)
+    w[0] = 1.0
+    w.flags.writeable = False
+    return w
+
+
+def hermitian_coeffs(g: Grid, z: np.ndarray) -> np.ndarray:
+    """The stored coefficients of the real field whose full-lattice Fourier
+    coefficients are the Hermitian part (z(k) + conj z(-k)) / 2 of z, an
+    array of shape g.shape: how a draw on the full lattice becomes a field."""
+    n = g.n
+    rev = (-np.arange(n)) % n
+    mirror = z[np.ix_(*([rev] * (g.d - 1) + [rev[: n // 2 + 1]]))]
+    c = 0.5 * (z[..., : n // 2 + 1] + np.conj(mirror))
+    c *= _column_weights(n, 1)
+    return make_real(g, c)
+
+
+def gaussian_coeffs(g: Grid, rng: np.random.Generator) -> np.ndarray:
+    """hermitian_coeffs of standard complex Gaussians on the full lattice,
+    drawn from `rng` as two real arrays of shape g.shape."""
+    return hermitian_coeffs(g, (rng.standard_normal(g.shape)
+                                + 1j * rng.standard_normal(g.shape)) / np.sqrt(2))
+
+
 def to_spectral(u: np.ndarray, g: Grid) -> SpectralField:
     """Forward transform of the samples' real part (the integral as a grid
-    mean), its Nyquist planes dropped."""
+    mean), its Nyquist entries dropped."""
     u = np.asarray(u, np.float64)
     if u.shape != g.shape:
         raise ConfigurationError(
             f"sample array shape {u.shape} does not match grid shape {g.shape}"
         )
-    return field_from_coeffs(g, full_spectrum(np.conj(reflected_spectrum(u)), g.n))
+    half = np.conj(np.fft.rfftn(u, norm="forward"))
+    return field_from_coeffs(g, half * _column_weights(g.n, 1))
 
 
 def to_physical(f: SpectralField) -> np.ndarray:
     """Evaluate the field on the grid points (real array)."""
-    return reflected_values(np.conj(f.coeffs[..., : f.grid.n // 2 + 1]), f.grid.n)
+    return _irfft(np.conj(f.coeffs) * _column_weights(f.grid.n, -1), f.grid.n)
 
 
 def fourier_multiplier(f: SpectralField, m) -> SpectralField:
-    """Apply a Fourier symbol; `m` is a callable of the grid or an array."""
-    sym = m(f.grid) if callable(m) else np.asarray(m)
-    sym = np.broadcast_to(sym, f.grid.shape)
+    """Apply a Fourier symbol on the half lattice; `m` is a callable of the
+    grid or an array.  It maps real fields to real fields if its column
+    k_d = 0 is Hermitian, m(k', 0) = conj m(-k', 0); an anti-Hermitian part
+    there above HERMITIAN_RESIDUE_TOL relative warns, and is discarded."""
+    g = f.grid
+    sym = m(g) if callable(m) else np.asarray(m)
+    sym = np.broadcast_to(sym, g.half_shape)
     if not np.all(np.isfinite(sym)):
         bad = np.argwhere(~np.isfinite(sym))[0]
-        k = tuple(int(f.grid.kaxes[a].ravel()[bad[a]]) for a in range(f.grid.d))
+        k = tuple(int(g.kaxes[a].ravel()[bad[a]]) for a in range(g.d))
         raise MultiplierError(f"multiplier is not finite at k={k}")
-    return field_from_coeffs(f.grid, sym * f.coeffs, warn=True)
+    col = sym[..., 0]
+    residue = 0.5 * np.max(np.abs(col - np.conj(col[g._mirror0])))
+    if residue > HERMITIAN_RESIDUE_TOL * np.max(np.abs(col)):
+        warnings.warn(
+            f"discarded anti-Hermitian residue {residue / np.max(np.abs(col)):.3e} "
+            f"(relative) of the symbol on k_d = 0 exceeds {HERMITIAN_RESIDUE_TOL:.0e}",
+            HermitianResidueWarning, stacklevel=2)
+    return field_from_coeffs(g, sym * f.coeffs)
 
 
 def sobolev_scale(f: SpectralField, s: float) -> SpectralField:
@@ -259,7 +295,7 @@ def div(v: list[SpectralField]) -> SpectralField:
         )
     for comp in v[1:]:
         _check_same_grid(v[0], comp)
-    acc = np.zeros(g.shape, np.complex128)
+    acc = np.zeros(g.half_shape, np.complex128)
     for s, comp in zip(g.deriv_symbols, v):
         acc += s * comp.coeffs
     return field_from_coeffs(g, acc)
@@ -284,82 +320,48 @@ def project_frequencies(f: SpectralField, L: int, side: str) -> SpectralField:
 
 
 # ---------------------------------------------------------------------------
-# moving between lattices (the dealiasing machinery): copy the modes both
-# lattices keep, |k_i| <= min(n_src, n_dst)/2 - 1, and zero the rest
+# moving between lattices: copy the modes both lattices keep,
+# |k_i| <= min(n_src, n_dst)/2 - 1, and zero the rest.  The sqrt 2 of a
+# column k_d > 0 is the same on every lattice, so the moves act on stored
+# coefficients and on real-FFT half spectra alike.
 
-def split_axis(arr: np.ndarray, axis: int, n_src: int, n_dst: int) -> np.ndarray:
-    """Grow one axis from n_src to n_dst, dropping the Nyquist index n_src/2."""
-    shape = list(arr.shape)
-    shape[axis] = n_dst
-    out = np.zeros(shape, arr.dtype)
-    ix = lambda i: tuple(i if a == axis else slice(None) for a in range(arr.ndim))
-    h = n_src // 2
-    out[ix(slice(0, h))] = arr[ix(slice(0, h))]
-    out[ix(slice(n_dst - h + 1, n_dst))] = arr[ix(slice(h + 1, n_src))]
-    return out
-
-
-def fold_axis(arr: np.ndarray, axis: int, n_src: int, n_dst: int) -> np.ndarray:
-    """Shrink one axis from n_src to n_dst, zeroing the Nyquist index n_dst/2."""
-    shape = list(arr.shape)
-    shape[axis] = n_dst
-    out = np.zeros(shape, arr.dtype)
-    ix = lambda i: tuple(i if a == axis else slice(None) for a in range(arr.ndim))
-    h = n_dst // 2
-    out[ix(slice(0, h))] = arr[ix(slice(0, h))]
-    out[ix(slice(h + 1, n_dst))] = arr[ix(slice(n_src - h + 1, n_src))]
-    return out
+@lru_cache(maxsize=64)
+def _common_modes(n_small: int, n_big: int, d: int, full: bool = False) -> tuple:
+    """(small, big) index pairs of the blocks of modes the n_small and the
+    n_big lattice both keep: per axis 0..h-1 <-> 0..h-1 and
+    h+1..n_small-1 <-> n_big-h+1..n_big-1 (h = n_small/2), but only
+    0..h-1 on the last axis of a half lattice (full False)."""
+    h = n_small // 2
+    per_axis = ((slice(0, h), slice(0, h)),
+                (slice(h + 1, n_small), slice(n_big - h + 1, n_big)))
+    axes = [per_axis] * d if full else [per_axis] * (d - 1) + [per_axis[:1]]
+    return tuple((tuple(s for s, _ in combo), tuple(b for _, b in combo))
+                 for combo in itertools.product(*axes))
 
 
 def split_lattice(coeffs: np.ndarray, n_src: int, n_dst: int) -> np.ndarray:
+    """A full n_src-lattice array's kept modes on the n_dst-lattice."""
     if n_dst < n_src:
         raise ConfigurationError("split requires n_dst >= n_src")
-    out = coeffs
-    for axis in range(coeffs.ndim):
-        out = split_axis(out, axis, n_src, n_dst)
+    out = np.zeros((n_dst,) * coeffs.ndim, coeffs.dtype)
+    for small, big in _common_modes(n_src, n_dst, coeffs.ndim, True):
+        out[big] = coeffs[small]
     return out
 
 
 def fold_lattice(coeffs: np.ndarray, n_src: int, n_dst: int) -> np.ndarray:
+    """The modes of a full n_src-lattice array the n_dst-lattice keeps."""
     if n_dst > n_src:
         raise ConfigurationError("fold requires n_dst <= n_src")
-    out = coeffs
-    for axis in range(coeffs.ndim):
-        out = fold_axis(out, axis, n_src, n_dst)
+    out = np.zeros((n_dst,) * coeffs.ndim, coeffs.dtype)
+    for small, big in _common_modes(n_dst, n_src, coeffs.ndim, True):
+        out[small] = coeffs[big]
     return out
 
 
-# Half spectra: the entries with last-axis frequency index 0..n/2 of a
-# Hermitian coefficient array, the input and output of numpy's real FFTs.
-# The helpers below act on a half spectrum as split_lattice / fold_lattice
-# act on the full array it stands for.
-
-@lru_cache(maxsize=64)
-def _common_modes(n_small: int, n_big: int, d: int) -> tuple:
-    """(small, big) index pairs of the blocks of modes the n_small and the
-    n_big lattice both keep: per leading axis 0..h-1 <-> 0..h-1 and
-    h+1..n_small-1 <-> n_big-h+1..n_big-1, last axis 0..h-1 (h = n_small/2)."""
-    h = n_small // 2
-    per_axis = ((slice(0, h), slice(0, h)),
-                (slice(h + 1, n_small), slice(n_big - h + 1, n_big)))
-    last = (slice(0, h),)
-    return tuple(
-        (tuple(s for s, _ in combo) + last, tuple(b for _, b in combo) + last)
-        for combo in itertools.product(per_axis, repeat=d - 1)
-    )
-
-
-def add_split_half(out: np.ndarray, half: np.ndarray, n_src: int) -> None:
-    """Add to the larger-lattice half spectrum `out` the half spectrum of
-    split_lattice(full, n_src, n_dst), `half` that of `full`."""
-    n_dst = 2 * (out.shape[-1] - 1)
-    for small, big in _common_modes(n_src, n_dst, half.ndim):
-        out[big] += half[small]
-
-
 def fold_half(arr: np.ndarray, n_src: int, n_dst: int) -> np.ndarray:
-    """Half spectrum of fold_lattice(full, n_src, n_dst); `arr` is the half
-    spectrum of `full`, or `full` itself."""
+    """The modes of the n_src-lattice half array `arr` that the smaller
+    n_dst-lattice keeps, as a new n_dst-lattice half array."""
     out = np.zeros((n_dst,) * (arr.ndim - 1) + (n_dst // 2 + 1,), arr.dtype)
     for small, big in _common_modes(n_dst, n_src, arr.ndim):
         out[small] = arr[big]
@@ -369,12 +371,14 @@ def fold_half(arr: np.ndarray, n_src: int, n_dst: int) -> np.ndarray:
 def resample_half(arr: np.ndarray, n_src: int, n_dst: int,
                   sym: tuple = (),
                   out: np.ndarray | None = None) -> np.ndarray:
-    """Half spectrum on the n_dst lattice of the modes of `full` that both
-    lattices keep; `arr` is the half spectrum of `full`, or `full` itself.
+    """The modes of the n_src-lattice half array `arr` that both lattices
+    keep, as an n_dst-lattice half array; a new array, unless `out` is
+    given.
 
-    The factors in `sym`, half spectra on the smaller of the two lattices,
-    multiply there one at a time: after a fold, before a split.  With
-    `out` given, the result is added into it and `out` is returned."""
+    The factors in `sym`, half arrays on the smaller of the two lattices
+    (or broadcastable to one), multiply there one at a time: after a fold,
+    before a split.  With `out` given, the result is added into it and
+    `out` is returned."""
     if n_dst <= n_src:
         res = fold_half(arr, n_src, n_dst)
         for s in sym:
@@ -383,38 +387,46 @@ def resample_half(arr: np.ndarray, n_src: int, n_dst: int,
             return res
         out += res
         return out
-    src = arr[..., : n_src // 2 + 1]
     for s in sym:
-        src = s * src
+        arr = s * arr
     if out is None:
         out = np.zeros((n_dst,) * (arr.ndim - 1) + (n_dst // 2 + 1,), np.complex128)
-    add_split_half(out, src, n_src)
+    for small, big in _common_modes(n_src, n_dst, arr.ndim):
+        out[big] += arr[small]
     return out
 
 
-def full_spectrum(half: np.ndarray, n: int) -> np.ndarray:
-    """The full n-lattice Hermitian array whose half spectrum is `half`."""
-    out = np.empty(half.shape[:-1] + (n,), np.complex128)
-    out[..., : n // 2 + 1] = half
-    # out[k, -l] = conj(half[-k, l]) for 0 < l < n/2, -k taken per axis
-    per_axis = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
-    for combo in itertools.product(per_axis, repeat=half.ndim - 1):
-        dst = tuple(a for a, _ in combo) + (slice(n // 2 + 1, None),)
-        src = tuple(b for _, b in combo) + (slice(n // 2 - 1, 0, -1),)
-        np.conjugate(half[src], out=out[dst])
-    return out
+def _irfft(half: np.ndarray, m: int) -> np.ndarray:
+    return np.fft.irfftn(half, s=(m,) * half.ndim, axes=tuple(range(half.ndim)),
+                         norm="forward")
 
 
 def reflected_values(half: np.ndarray, m: int) -> np.ndarray:
-    """Values on the m-grid, listed at -x (index -j mod m), of the real
-    field whose m-lattice half spectrum is `half`."""
-    axes = tuple(range(half.ndim))
-    return np.fft.irfftn(half, s=(m,) * half.ndim, axes=axes, norm="forward")
+    """sqrt 2 times the values on the m-grid, listed at -x (index -j mod m),
+    of the real field whose m-lattice coefficients are `half`.
+
+    Column k_d = 0 of `half`, a copy the caller owns, is scaled by sqrt 2
+    in place: that makes every column sqrt 2 times the real FFT's half
+    spectrum, and touches no other entry."""
+    half[..., 0] *= _SQRT2
+    return _irfft(half, m)
 
 
 def reflected_spectrum(vals: np.ndarray) -> np.ndarray:
-    """Half spectrum of the real field whose values at -x are `vals`."""
-    return np.fft.rfftn(vals, norm="forward")
+    """The coefficients of the real field whose values at -x are
+    vals / sqrt 2, the inverse of reflected_values: the real FFT's half
+    spectrum with its column k_d = 0 divided by sqrt 2."""
+    out = np.fft.rfftn(vals, norm="forward")
+    out[..., 0] /= _SQRT2
+    return out
+
+
+def true_values(coeffs: np.ndarray, n: int, m: int, sym: tuple = ()) -> np.ndarray:
+    """The values on the m-grid, listed at -x, of the field with n-lattice
+    coefficients `coeffs` filtered by the factors `sym` (as in
+    resample_half); the sqrt 2 is undone on the smaller lattice."""
+    unscale = _column_weights(min(n, m), -1)
+    return _irfft(resample_half(coeffs, n, m, sym + (unscale,)), m)
 
 
 @lru_cache(maxsize=None)
@@ -440,17 +452,6 @@ def product_size(n: int) -> int:
         m += 2
 
 
-def _padded_values(coeffs: np.ndarray, n: int, m: int) -> np.ndarray:
-    """reflected_values on the m-grid (m > n)."""
-    return reflected_values(resample_half(coeffs, n, m), m)
-
-
-def _band_limited(vals: np.ndarray, n: int) -> np.ndarray:
-    """Full n-lattice spectrum, kept modes only, of values at -x on a
-    larger grid."""
-    return full_spectrum(fold_half(reflected_spectrum(vals), vals.shape[0], n), n)
-
-
 def constant_value(coeffs: np.ndarray) -> float | None:
     """The value of a constant field (every coefficient but k=0 is zero),
     else None.  A real field's value is the real part of its k=0 entry."""
@@ -458,6 +459,13 @@ def constant_value(coeffs: np.ndarray) -> float | None:
     if np.any(flat[1:]):
         return None
     return float(flat[0].real)
+
+
+def _dealiased_product(a: np.ndarray, b: np.ndarray, n: int, m: int) -> np.ndarray:
+    """The product of the fields with n-lattice coefficients a and b,
+    evaluated on the m-grid (a at sqrt 2 times its values) and truncated."""
+    prod = reflected_values(resample_half(a, n, m), m) * true_values(b, n, m)
+    return fold_half(reflected_spectrum(prod), m, n)
 
 
 def pointwise_product(f: SpectralField, g: SpectralField) -> SpectralField:
@@ -470,64 +478,69 @@ def pointwise_product(f: SpectralField, g: SpectralField) -> SpectralField:
         if c is not None:
             return field_from_coeffs(f.grid, c * other.coeffs)
     n = f.grid.n
-    m = product_size(n)
-    prod = _padded_values(f.coeffs, n, m) * _padded_values(g.coeffs, n, m)
-    return field_from_coeffs(f.grid, _band_limited(prod, n))
+    return field_from_coeffs(f.grid, _dealiased_product(
+        f.coeffs, g.coeffs, n, product_size(n)))
 
 
 def exp_field(f: SpectralField) -> SpectralField:
     """Pointwise exponential on the 2x-padded grid, truncated to band limit.
     The exponential is not band-limited, so no grid makes it exact; the
     doubled grid is the one its results are defined on."""
-    vals = _padded_values(f.coeffs, f.grid.n, 2 * f.grid.n)
+    n = f.grid.n
+    vals = true_values(f.coeffs, n, 2 * n)
     peak = float(np.max(vals))
     if peak > EXP_OVERFLOW_LIMIT:
         raise FieldRangeError(f"exponential overflow: max field value {peak:.3g} "
                               f"exceeds {EXP_OVERFLOW_LIMIT:g}")
-    return field_from_coeffs(f.grid, _band_limited(np.exp(vals), f.grid.n))
+    spectrum = np.fft.rfftn(np.exp(vals), norm="forward")
+    return field_from_coeffs(f.grid, resample_half(
+        spectrum, 2 * n, n, (_column_weights(n, 1),)))
 
 
 # ---------------------------------------------------------------------------
-# PCF1 field file format
+# the field file: format PCF2 (the functions keep the name of PCF1, the
+# format that held the full Hermitian array)
 
 def write_pcf1(path, f: SpectralField) -> None:
-    """ASCII header `PCF1 d=<d> n=<n>`, then complex128 little-endian coeffs."""
+    """ASCII header `PCF2 d=<d> n=<n>`, then the stored coefficients
+    (shape Grid.half_shape) as complex128 little-endian."""
     with open(path, "wb") as fh:
-        fh.write(f"PCF1 d={f.grid.d} n={f.grid.n}\n".encode("ascii"))
+        fh.write(f"PCF2 d={f.grid.d} n={f.grid.n}\n".encode("ascii"))
         fh.write(np.ascontiguousarray(f.coeffs, dtype="<c16").tobytes())
 
 
 def read_pcf1(path) -> SpectralField:
-    """Read a field written by write_pcf1.  A malformed header raises
-    ConfigurationError; a body of the wrong length, with non-finite
-    coefficients, with coefficients that are not exactly Hermitian (the
-    coefficients of a real field) or with a non-zero entry on a Nyquist
-    plane raises DataError.  Both name the file.  Every field the package
-    writes is exactly Hermitian with zero Nyquist planes, so the checks
-    are exact."""
+    """Read a field written by write_pcf1.  A malformed or PCF1 header
+    raises ConfigurationError; a body of the wrong length, non-finite, or
+    breaking make_real's invariant (which every field the package writes
+    meets exactly) raises DataError.  Both name the file."""
     with open(path, "rb") as fh:
         header = fh.readline()
         try:
             tag, d, n = header.decode("ascii").split()
-            if tag != "PCF1" or d[:2] != "d=" or n[:2] != "n=":
+            if tag not in ("PCF1", "PCF2") or d[:2] != "d=" or n[:2] != "n=":
                 raise ValueError
             g = grid(int(d[2:]), int(n[2:]))
         except (ValueError, ConfigurationError):  # UnicodeDecodeError included
             raise ConfigurationError(
-                f"{path}: not a PCF1 header: {header[:80]!r}") from None
-        size = 16 * g.size
+                f"{path}: not a PCF2 header: {header[:80]!r}") from None
+        if tag == "PCF1":
+            raise ConfigurationError(f"{path}: a PCF1 file, the full-array format "
+                                     f"this version no longer reads: write it again")
+        size = 16 * int(np.prod(g.half_shape))
         data = fh.read(size + 1)
     if len(data) < size:
         raise DataError(f"{path}: truncated body, {len(data)} of {size} bytes for {g}")
     if len(data) > size:
         raise DataError(f"{path}: trailing bytes after the {size}-byte body for {g}")
-    coeffs = np.frombuffer(data, dtype="<c16").reshape(g.shape)
+    coeffs = np.frombuffer(data, dtype="<c16").reshape(g.half_shape)
     if not np.all(np.isfinite(coeffs)):
         raise DataError(f"{path}: non-finite coefficients")
-    if not np.array_equal(coeffs, np.conj(coeffs[g._rev_ix])):
-        raise DataError(f"{path}: coefficients are not Hermitian, so they are "
-                        f"not those of a real field")
+    col = coeffs[..., 0]
+    if not np.array_equal(col, np.conj(col[g._mirror0])):
+        raise DataError(f"{path}: the column k_d = 0 is not Hermitian, so the "
+                        f"coefficients are not those of a real field")
     if any(np.any(coeffs[plane]) for plane in g.nyquist):
-        raise DataError(f"{path}: non-zero coefficients on a Nyquist plane "
+        raise DataError(f"{path}: non-zero coefficients on a Nyquist entry "
                         f"k_i = n/2, which no field keeps")
     return SpectralField(g, np.ascontiguousarray(coeffs.astype(np.complex128)))

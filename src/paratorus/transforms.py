@@ -354,10 +354,13 @@ _EXP_NAMES = ("e_pw", "e_pw_inv", "e_pwv", "e_pwv_inv", "e_pv2w")
 # fields, products and certificates); r2c-7 applied A's drift term as
 # sum_l d_l (rho_l u) and ran each derivative of the paraproduct sums of
 # K and R as a full-lattice multiply around its own engine pass, where the
-# blocks now carry the derivatives (certificates moved at round-off).  The
+# blocks now carry the derivatives (certificates moved at round-off);
+# r2c-8 held fields as full Hermitian arrays and saved PCF1 bodies, now
+# half lattices in orthonormal coordinates saved as PCF2 (fields and
+# certificates moved at round-off; no PCF1 body is read).  The
 # factored KPZ nonlinearity needed no stamp: verify_stack reloads W, never
 # solves for it.
-KERNEL_VERSION = "r2c-8"
+KERNEL_VERSION = "r2c-9"
 
 
 def _certificates(stack: TransformStack) -> dict[str, float]:

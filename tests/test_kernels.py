@@ -1,15 +1,16 @@
 """The real-FFT kernels against complex-FFT references.
 
-Every transform of the package runs real FFTs on half spectra: the
-products on the product grid (`torus.product_size`, about 3n/2),
+Every transform of the package runs real FFTs on the stored half lattice:
+the products on the product grid (`torus.product_size`, about 3n/2),
 `exp_field` on the 2x-padded grid, `to_physical` and `to_spectral`, and
 the one engine under `mult_field_op`, the per-block paraproducts and
 `bony_decompose`.  The references below evaluate the same maps on the
-full spectrum with complex FFTs, every product on the doubled grid and
-truncated to the kept modes |k_i| <= n/2 - 1; on Hermitian inputs (real
-fields) reaching the last kept mode, both must agree to round-off.  The
-package itself never calls a complex FFT, and every field it makes has
-zero Nyquist planes k_i = n/2.
+full Hermitian array (`oracles.to_full`/`to_half`) with complex FFTs,
+every product on the doubled grid and truncated to the kept modes
+|k_i| <= n/2 - 1; on real fields reaching the last kept mode, both must
+agree to round-off.  The package itself never calls a complex FFT, and
+every field it makes has zero Nyquist entries k_i = n/2 and an exactly
+Hermitian column k_d = 0.
 """
 
 from functools import lru_cache
@@ -43,21 +44,22 @@ from paratorus.paraproducts import (
 )
 from paratorus.torus import (
     EXP_OVERFLOW_LIMIT,
-    add_split_half,
     exp_field,
     fold_half,
     fold_lattice,
     field_from_coeffs,
-    full_spectrum,
     grid,
     lp_norm,
     pointwise_product,
     product_size,
+    resample_half,
     split_lattice,
     to_physical,
     to_spectral,
 )
 from paratorus.transforms import choose_cutoffs, save_stack, verify_stack
+
+from oracles import to_full, to_half
 
 REL_TOL = 1e-14
 GRIDS = [(1, 8), (1, 32), (1, 128), (2, 16), (2, 32), (2, 64), (3, 8), (3, 32)]
@@ -75,47 +77,57 @@ def nyquist_free(x, g):
     return not any(np.any(x[plane]) for plane in g.nyquist)
 
 
+def real_field(x, g):
+    """Zero Nyquist entries and an exactly Hermitian column k_d = 0."""
+    col = x[..., 0]
+    return nyquist_free(x, g) and np.array_equal(col, np.conj(col[g._mirror0]))
+
+
 def full_band(g, rng):
     """A random real field on every kept mode: non-zero on all (n-1)^d
-    modes |k_i| <= n/2 - 1, zero on the Nyquist planes."""
+    modes |k_i| <= n/2 - 1, zero on the Nyquist entries."""
     x = random_hermitian(g, rng)
-    assert np.count_nonzero(x) == (g.n - 1) ** g.d and nyquist_free(x, g)
+    assert np.count_nonzero(to_full(x, g)) == (g.n - 1) ** g.d and real_field(x, g)
     return x
 
 
 def padded_values(g, a):
-    return np.fft.fftn(split_lattice(a, g.n, 2 * g.n)).real
+    return np.fft.fftn(split_lattice(to_full(a, g), g.n, 2 * g.n)).real
 
 
 def ref_product(g, a, b):
-    """Exact product of two band-limited coefficient arrays, 2x padded."""
+    """Exact product of two band-limited fields' coefficients, 2x padded."""
     prod = padded_values(g, a) * padded_values(g, b)
-    return fold_lattice(np.fft.ifftn(prod), 2 * g.n, g.n)
+    return to_half(fold_lattice(np.fft.ifftn(prod), 2 * g.n, g.n))
 
 
 def ref_exp(g, a):
-    return fold_lattice(np.fft.ifftn(np.exp(padded_values(g, a))), 2 * g.n, g.n)
+    return to_half(fold_lattice(np.fft.ifftn(np.exp(padded_values(g, a))),
+                                2 * g.n, g.n))
 
 
 def ref_mult(g, f, x):
     """Multiplication by f, a symmetric operator: its own adjoint."""
     m = 2 * g.n
-    prod = padded_values(g, f) * np.fft.fftn(split_lattice(x, g.n, m))
-    return fold_lattice(np.fft.ifftn(prod), m, g.n)
+    prod = padded_values(g, f) * np.fft.fftn(split_lattice(to_full(x, g), g.n, m))
+    return to_half(fold_lattice(np.fft.ifftn(prod), m, g.n))
 
 
 def ref_para(P, fixed, x, fixed_sym, moving_sym, adjoint):
-    n = P.grid.n
-    out = np.zeros(P.grid.shape, np.complex128)
+    # the Littlewood-Paley symbols are real and even, so they multiply the
+    # stored coefficients as they do the full array
+    g, n = P.grid, P.grid.n
+    out = np.zeros(g.half_shape, np.complex128)
     for j in range(1, P.j_max + 1):
         m = min(n, 2 ** (j + 3))
-        phys = np.fft.fftn(fold_lattice(fixed_sym(j) * fixed, n, m))
+        phys = np.fft.fftn(fold_lattice(to_full(fixed_sym(j) * fixed, g), n, m))
         if adjoint:
-            prod = np.fft.ifftn(np.conj(phys) * np.fft.fftn(fold_lattice(x, n, m)))
-            out += moving_sym(j) * split_lattice(prod, m, n)
+            moving = np.fft.fftn(fold_lattice(to_full(x, g), n, m))
+            prod = np.fft.ifftn(np.conj(phys) * moving)
+            out += moving_sym(j) * to_half(split_lattice(prod, m, n))
         else:
-            wj = fold_lattice(moving_sym(j) * x, n, m)
-            out += split_lattice(np.fft.ifftn(phys * np.fft.fftn(wj)), m, n)
+            wj = fold_lattice(to_full(moving_sym(j) * x, g), n, m)
+            out += to_half(split_lattice(np.fft.ifftn(phys * np.fft.fftn(wj)), m, n))
     return out
 
 
@@ -124,7 +136,7 @@ def ref_bony(P, f, g):
     n, m, J = P.grid.n, 2 * P.grid.n, P.j_max
 
     def phys(sym, c):
-        return np.fft.fftn(split_lattice(sym * c, n, m))
+        return np.fft.fftn(split_lattice(to_full(sym * c, P.grid), n, m))
 
     lo = res = hi = np.zeros((m,) * P.grid.d, np.complex128)
     for j in range(-1, J + 1):
@@ -133,7 +145,7 @@ def ref_bony(P, f, g):
             hi = hi + phys(P.block_symbol(j), f) * phys(P.partial_symbol(j - 1), g)
         for i in range(max(-1, j - 1), min(J, j + 1) + 1):
             res = res + phys(P.block_symbol(j), f) * phys(P.block_symbol(i), g)
-    return [fold_lattice(np.fft.ifftn(p), m, n) for p in (lo, res, hi)]
+    return [to_half(fold_lattice(np.fft.ifftn(p), m, n)) for p in (lo, res, hi)]
 
 
 def assert_close(got, ref):
@@ -141,8 +153,9 @@ def assert_close(got, ref):
 
 
 def assert_adjoint(op_apply, op_adjoint, x, y):
+    # the real l^2 product of stored coefficients, the L^2 product of fields
     tx, ty = op_apply(x), op_adjoint(y)
-    lhs, rhs = np.vdot(tx, y), np.vdot(x, ty)
+    lhs, rhs = np.vdot(tx, y).real, np.vdot(x, ty).real
     scale = np.linalg.norm(tx) * np.linalg.norm(y) + np.linalg.norm(x) * np.linalg.norm(ty)
     assert abs(lhs - rhs) <= REL_TOL * scale
 
@@ -160,8 +173,9 @@ def test_field_transforms_match_complex_reference(dn, seed):
     assert_close(exp_field(field_from_coeffs(g, small)).coeffs, ref_exp(g, small))
     vals = to_physical(f)
     assert vals.dtype == np.float64
-    assert_close(vals, np.fft.fftn(a).real)
-    assert_close(to_spectral(vals, g).coeffs, np.fft.ifftn(np.fft.fftn(a).real))
+    assert_close(vals, np.fft.fftn(to_full(a, g)).real)
+    assert_close(to_spectral(vals, g).coeffs,
+                 to_half(np.fft.ifftn(np.fft.fftn(to_full(a, g)).real)))
 
 
 @pytest.mark.parametrize("dn", GRIDS)
@@ -216,7 +230,7 @@ def test_paraproduct_sums_with_derivatives_match_composition(dn, seed):
     rng = np.random.default_rng(seed)
     f, z, x, y = (full_band(g, rng) for _ in range(4))
     dl = g.deriv_symbols
-    D = [multiplier_op(np.broadcast_to(s, g.shape)) for s in dl]
+    D = [multiplier_op(np.broadcast_to(s, g.half_shape)) for s in dl]
     low_f = blocks_op(g, low_side_blocks(P, f))
     high_f = blocks_op(g, high_side_blocks(P, f))
     cases = [
@@ -254,25 +268,28 @@ def test_half_spectrum_split_and_fold(dn, seed):
     g, big = grid(d, n), grid(d, 2 * n)
     rng = np.random.default_rng(seed)
     x = full_band(g, rng)
-    grown = np.zeros((2 * n,) * (d - 1) + (n + 1,), np.complex128)
-    add_split_half(grown, x[..., : n // 2 + 1], n)
-    np.testing.assert_array_equal(full_spectrum(grown, 2 * n),
-                                  split_lattice(x, n, 2 * n))
+    grown = resample_half(x, n, 2 * n)
+    np.testing.assert_array_equal(to_full(grown, big),
+                                  split_lattice(to_full(x, g), n, 2 * n))
     X = full_band(big, rng)
-    np.testing.assert_allclose(full_spectrum(fold_half(X, 2 * n, n), n),
-                               fold_lattice(X, 2 * n, n), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(to_full(fold_half(X, 2 * n, n), g),
+                               fold_lattice(to_full(X, big), 2 * n, n),
+                               rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("dn", GRIDS)
 def test_every_field_has_zero_nyquist_planes(dn):
-    # a raw array with non-zero entries everywhere goes into every
-    # constructor and operation; nothing comes out on k_i = n/2
+    # a raw array with non-zero entries everywhere and a non-Hermitian
+    # column k_d = 0 goes into every constructor and operation; nothing
+    # comes out on k_i = n/2, and every column 0 is exactly Hermitian
     g = grid(*dn)
     rng = np.random.default_rng(7)
-    raw = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    raw = rng.standard_normal(g.half_shape) + 1j * rng.standard_normal(g.half_shape)
     assert all(np.all(raw[plane] != 0.0) for plane in g.nyquist)
+    assert not real_field(raw, g)
     f = field_from_coeffs(g, raw)
-    outputs = [to_spectral(raw.real, g).coeffs, f.coeffs, random_hermitian(g, rng),
+    outputs = [to_spectral(rng.standard_normal(g.shape), g).coeffs, f.coeffs,
+               random_hermitian(g, rng),
                pointwise_product(f, f).coeffs,
                exp_field(field_from_coeffs(g, raw / np.sum(np.abs(raw)))).coeffs]
     op = mult_field_op(g, raw)
@@ -284,7 +301,7 @@ def test_every_field_has_zero_nyquist_planes(dn):
         for blocks in (low_side_blocks(P, raw), resonant_blocks(P, raw)):
             engine = blocks_op(g, blocks)
             outputs += [engine.apply(raw), engine.adjoint(raw)]
-    assert all(nyquist_free(x, g) for x in outputs)
+    assert all(real_field(x, g) for x in outputs)
 
 
 def test_product_size():
@@ -302,8 +319,7 @@ def test_product_exact_from_three_halves_n_minus_two(dn):
     ref = ref_product(g, a, b)
 
     def product_on(m):
-        vals = torus._padded_values(a, g.n, m) * torus._padded_values(b, g.n, m)
-        return torus._band_limited(vals, g.n)
+        return torus._dealiased_product(a, b, g.n, m)
 
     assert_close(product_on(3 * g.n // 2 - 2), ref)
     assert np.max(np.abs(product_on(3 * g.n // 2 - 4) - ref)) > 1e-3 * np.max(np.abs(ref))

@@ -28,6 +28,8 @@ from paratorus.torus import (
     zero_field,
 )
 
+from oracles import to_half
+
 
 def grad_sq_and_cross(W, V):
     """|grad W|^2 and grad W . grad V, each as d separate dealiased products:
@@ -123,7 +125,7 @@ class TestKpzMap:
     def test_divergence_error(self):
         g = grid(2, 32)
         prob = KpzProblem(zero_field(g), zero_field(g), lam=1.0)
-        huge = field_from_coeffs(g, 1e9 * np.eye(g.n, dtype=complex))
+        huge = field_from_coeffs(g, to_half(1e9 * np.eye(g.n, dtype=complex)))
         with pytest.raises(SolverDivergenceError):
             kpz_map(huge, prob)
 
@@ -283,7 +285,7 @@ class TestSmoothing:
         c = np.zeros(g.shape, complex)
         c[kmag, 0] = 0.5
         c[-kmag, 0] = 0.5
-        f = field_from_coeffs(g, c)
+        f = field_from_coeffs(g, to_half(c))
         weights = besov_norm(f, BesovIndex(beta, mu, np.inf), P) / besov_norm(
             f, BesovIndex(beta - 2 + kappa, mu, np.inf), P
         )
@@ -323,7 +325,7 @@ class TestAssumptionIIProxy:
         # B^{1.4}_{inf,inf} norm is finite and stable across n = 128, 256
         # for the same band-limited data (coarse draw embedded into the
         # finer grid)
-        from paratorus.torus import split_lattice
+        from paratorus.torus import resample_half
 
         g128 = grid(2, 128)
         spec = NoiseSpec("generic_II", seed=10, amplitude=0.5,
@@ -332,8 +334,8 @@ class TestAssumptionIIProxy:
         norms = {}
         for n in (128, 256):
             g = grid(2, n)
-            xi = field_from_coeffs(g, split_lattice(data.xi.coeffs, 128, n))
-            V = field_from_coeffs(g, split_lattice(data.V.coeffs, 128, n))
+            xi = field_from_coeffs(g, resample_half(data.xi.coeffs, 128, n))
+            V = field_from_coeffs(g, resample_half(data.V.coeffs, 128, n))
             result = solve_kpz(KpzProblem(xi, V, data.lam, tol=1e-10))
             P = build_partition(g)
             norms[n] = besov_norm(result.W, BesovIndex(1.4, np.inf, np.inf), P)

@@ -20,6 +20,8 @@ from paratorus.lp import (
 )
 from paratorus.torus import grid, l2_norm, sobolev_norm, to_spectral
 
+from oracles import to_half
+
 
 def profile_oracle(t):
     """Independent evaluation of the stated C-infinity transition."""
@@ -104,7 +106,7 @@ class TestDecompose:
         c = np.zeros(g.shape, complex)
         c[2**j0, 0] = 0.5
         c[-(2**j0), 0] = 0.5
-        f = torus.SpectralField(g, c)
+        f = torus.SpectralField(g, to_half(c))
         blocks, _ = decompose(f, P64)
         for j in range(-1, P64.j_max + 1):
             norm = l2_norm(blocks[j + 1])
@@ -148,7 +150,7 @@ class TestBesovNorm:
         c = np.zeros(g.shape, complex)
         c[kmag, 0] = 0.5
         c[-kmag, 0] = 0.5
-        f = torus.SpectralField(g, c)
+        f = torus.SpectralField(g, to_half(c))
         idx = BesovIndex(0.8, 2, np.inf)
         # oracle: sup_j 2^{alpha j} * weight_j(|k|) * |mode|_{L^2}
         mode_l2 = np.sqrt(0.5)
@@ -165,7 +167,7 @@ class TestBesovNorm:
             c = np.zeros(g.shape, complex)
             c[2**j0, 2] = 0.5
             c[-(2**j0), -2] = 0.5
-            f = torus.SpectralField(g, c)
+            f = torus.SpectralField(g, to_half(c))
             norms = [
                 besov_norm(f, BesovIndex(a, 2, 2), P64)
                 for a in (-0.5, 0.0, 0.5, 1.0)
@@ -182,7 +184,7 @@ class TestBernstein:
         c = np.zeros(g.shape, complex)
         c[lam, 0] = 0.5
         c[-lam, 0] = 0.5
-        f = torus.SpectralField(g, c)
+        f = torus.SpectralField(g, to_half(c))
         from paratorus.torus import grad
         dmax = max(l2_norm(comp) for comp in grad(f))
         assert dmax / (lam * l2_norm(f)) == pytest.approx(2 * np.pi, rel=1e-12)

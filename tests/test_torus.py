@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from paratorus.errors import (
 )
 from paratorus.torus import (
     Grid,
+    HermitianResidueWarning,
     exp_field,
     fourier_multiplier,
     grad,
@@ -27,6 +30,8 @@ from paratorus.torus import (
     write_pcf1,
     zero_field,
 )
+
+from oracles import to_full, to_half
 
 
 def dft_oracle(u, g):
@@ -62,9 +67,10 @@ def convolution_oracle(g, fc, gc):
     return out
 
 
-def kept(g):
-    """Mask of the kept modes, False on the Nyquist planes k_j = n/2."""
-    mask = np.ones(g.shape, bool)
+def kept(g, shape=None):
+    """Mask of the kept modes of the stored coefficients (or of an array of
+    `shape`, the full lattice), False on the Nyquist entries k_j = n/2."""
+    mask = np.ones(shape or g.half_shape, bool)
     for plane in g.nyquist:
         mask[plane] = False
     return mask
@@ -79,11 +85,13 @@ class TestGrid:
         with pytest.raises(ConfigurationError):
             Grid(4, 16)
         g = Grid(2, 16)
-        assert g.size == 16**2 and g.ksq.shape == (16, 16)
+        assert g.size == 16**2 and g.shape == (16, 16)
+        assert g.half_shape == (16, 9) and g.ksq.shape == (16, 9)
 
     def test_lattice_layout(self):
-        g = Grid(1, 8)
+        g = Grid(2, 8)
         assert list(g.kaxes[0].ravel()) == [0, 1, 2, 3, 4, -3, -2, -1]
+        assert list(g.kaxes[1].ravel()) == [0, 1, 2, 3, 4]
 
 
 class TestTransforms:
@@ -101,13 +109,18 @@ class TestTransforms:
         assert f.coeffs[1, 0] == pytest.approx(0.5)
         assert f.coeffs[-1, 0] == pytest.approx(0.5)
         assert np.sum(np.abs(f.coeffs) > 1e-14) == 2
+        # off the column k_d = 0 a stored entry is sqrt 2 times the mode's
+        Y = g.meshgrid()[1]
+        h = to_spectral(np.cos(2 * np.pi * Y), g)
+        assert h.coeffs[0, 1] == pytest.approx(np.sqrt(0.5))
+        assert np.sum(np.abs(h.coeffs) > 1e-14) == 1
 
     def test_forward_against_dft_oracle(self):
         g = grid(2, 8)
         rng = np.random.default_rng(0)
         u = rng.standard_normal(g.shape)
         f = to_spectral(u, g)
-        expected = dft_oracle(u, g)
+        expected = to_half(dft_oracle(u, g))
         assert np.max(np.abs(f.coeffs - expected)[kept(g)]) < 1e-12
         assert not np.any(f.coeffs[~kept(g)])
 
@@ -136,14 +149,17 @@ class TestTransforms:
         energy = np.sum(np.abs(f.coeffs) ** 2)
         assert energy == pytest.approx(np.mean(to_physical(f) ** 2), rel=1e-12)
         dft = np.fft.fftn(u, norm="forward")
-        assert energy == pytest.approx(np.sum(np.abs(dft[kept(g)]) ** 2), rel=1e-12)
+        full_energy = np.sum(np.abs(dft[kept(g, g.shape)]) ** 2)
+        assert energy == pytest.approx(full_energy, rel=1e-12)
+        assert energy == pytest.approx(np.sum(np.abs(to_full(f.coeffs, g)) ** 2),
+                                       rel=1e-12)
 
 
 class TestMultipliers:
     def test_identity(self):
         g = grid(2, 16)
         f = to_spectral(np.random.default_rng(2).standard_normal(g.shape), g)
-        out = fourier_multiplier(f, lambda gr: np.ones(gr.shape))
+        out = fourier_multiplier(f, lambda gr: np.ones(gr.half_shape))
         assert np.allclose(out.coeffs, f.coeffs, atol=1e-15)
 
     def test_inverse_pair(self):
@@ -166,10 +182,25 @@ class TestMultipliers:
     def test_nonfinite_symbol_names_frequency(self):
         g = grid(2, 16)
         f = to_spectral(np.ones(g.shape), g)
-        m = np.ones(g.shape)
+        m = np.ones(g.half_shape)
         m[3, 5] = np.inf
         with pytest.raises(MultiplierError, match=r"k=\(3, 5\)"):
             fourier_multiplier(f, m)
+
+    def test_real_valuedness_diagnostic(self):
+        # on the column k_d = 0 a symbol must have m(-k') = conj m(k') to
+        # map real fields to real fields: a real symbol odd in k_1 breaks
+        # that, and its anti-Hermitian part is discarded with a warning
+        g = grid(2, 16)
+        f = to_spectral(np.random.default_rng(14).standard_normal(g.shape), g)
+        odd = np.broadcast_to(g.kaxes[0], g.half_shape)
+        with pytest.warns(HermitianResidueWarning, match="anti-Hermitian"):
+            out = fourier_multiplier(f, odd)
+        col = out.coeffs[:, 0]
+        assert np.array_equal(col, np.conj(np.roll(np.flip(col), 1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fourier_multiplier(f, -4 * np.pi**2 * g.ksq)
 
 
 class TestSobolev:
@@ -241,7 +272,7 @@ class TestProjectors:
         c = np.zeros(g.shape, complex)
         c[3, 4] = 0.5  # |k| = 5
         c[-3, -4] = 0.5
-        f = torus.SpectralField(g, c)
+        f = torus.SpectralField(g, to_half(c))
         assert l2_norm(project_frequencies(f, 2, "high")) > 0  # 5 > 4 kept
         assert l2_norm(project_frequencies(f, 3, "high")) == 0.0  # 5 <= 8 removed
 
@@ -269,10 +300,10 @@ class TestPointwiseProduct:
         c2 = np.zeros(g.shape, complex)
         c2[0, 2] = 0.5
         c2[0, -2] = 0.5
-        f = torus.SpectralField(g, c1)
-        h = torus.SpectralField(g, c2)
+        f = torus.SpectralField(g, to_half(c1))
+        h = torus.SpectralField(g, to_half(c2))
         prod = pointwise_product(f, h)
-        expected = convolution_oracle(g, c1, c2)
+        expected = to_half(convolution_oracle(g, c1, c2))
         assert np.max(np.abs(prod.coeffs - expected)) < 1e-14
 
     def test_convolution_oracle_random(self):
@@ -281,7 +312,8 @@ class TestPointwiseProduct:
         f = to_spectral(rng.standard_normal(g.shape), g)
         h = to_spectral(rng.standard_normal(g.shape), g)
         prod = pointwise_product(f, h)
-        expected = convolution_oracle(g, f.coeffs, h.coeffs)
+        expected = to_half(convolution_oracle(g, to_full(f.coeffs, g),
+                                              to_full(h.coeffs, g)))
         assert np.max(np.abs(prod.coeffs - expected)) < 1e-12
 
     def test_commutative(self):
@@ -297,14 +329,15 @@ class TestPointwiseProduct:
         # fields band-limited to |k|_inf < n/4 multiply exactly
         g = grid(2, 16)
         rng = np.random.default_rng(12)
-        mask = np.max(np.abs(np.stack([np.broadcast_to(k, g.shape)
-                                       for k in g.kaxes])), axis=0) < g.n / 4
-        f = torus.field_from_coeffs(
-            g, mask * (rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)))
-        h = torus.field_from_coeffs(
-            g, mask * (rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)))
+        k = np.abs(np.fft.fftfreq(g.n, 1.0 / g.n))
+        mask = np.maximum.outer(k, k) < g.n / 4  # on the full lattice
+        f = torus.SpectralField(g, torus.hermitian_coeffs(
+            g, mask * (rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))))
+        h = torus.SpectralField(g, torus.hermitian_coeffs(
+            g, mask * (rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))))
         prod = pointwise_product(f, h)
-        expected = convolution_oracle(g, f.coeffs, h.coeffs)
+        expected = to_half(convolution_oracle(g, to_full(f.coeffs, g),
+                                              to_full(h.coeffs, g)))
         assert np.max(np.abs(prod.coeffs - expected)) < 1e-12
 
     def test_grid_mismatch(self):
@@ -355,32 +388,39 @@ class TestPCF1:
         g = grid(2, 16)
         write_pcf1(tmp_path / "f.pcf", zero_field(g))
         with open(tmp_path / "f.pcf", "rb") as fh:
-            assert fh.readline() == b"PCF1 d=2 n=16\n"
+            assert fh.readline() == b"PCF2 d=2 n=16\n"
 
 
-def _pcf1_bytes(header: bytes, coeffs: np.ndarray) -> bytes:
+def _pcf_bytes(header: bytes, coeffs: np.ndarray) -> bytes:
     return header + np.ascontiguousarray(coeffs, dtype="<c16").tobytes()
 
 
-_BODY = np.zeros((16, 16), np.complex128)
+_BODY = np.zeros((16, 9), np.complex128)  # the stored coefficients of d=2, n=16
 _NAN_BODY = _BODY.copy()
 _NAN_BODY[3, 5] = np.nan
 _UNPAIRED_BODY = _BODY.copy()
-_UNPAIRED_BODY[3, 5] = 1.0  # its mirror (13, 11) stays 0
+_UNPAIRED_BODY[3, 0] = 1.0  # its mirror (13, 0) on the column k_d = 0 stays 0
 _COMPLEX_MEAN_BODY = _BODY.copy()
 _COMPLEX_MEAN_BODY[0, 0] = 1.0 + 0.5j  # k = 0 is its own mirror
 _NYQUIST_BODY = _BODY.copy()
-_NYQUIST_BODY[8, 0] = 1.0  # Hermitian, but on the Nyquist plane k_1 = n/2
+_NYQUIST_BODY[8, 0] = 1.0  # Hermitian, but on the Nyquist row k_1 = n/2
+_NYQUIST_COLUMN_BODY = _BODY.copy()
+_NYQUIST_COLUMN_BODY[3, 8] = 1.0  # on the Nyquist column k_2 = n/2
+_HEADER = b"PCF2 d=2 n=16\n"
 MALFORMED_PCF1 = {
-    "truncated_body": (_pcf1_bytes(b"PCF1 d=2 n=16\n", _BODY)[:-5], DataError),
-    "bad_dimension": (_pcf1_bytes(b"PCF1 d=x n=16\n", _BODY), ConfigurationError),
-    "non_ascii_header": (_pcf1_bytes("PCF1 d=2 n=16 \u00e9\n".encode(), _BODY),
+    "truncated_body": (_pcf_bytes(_HEADER, _BODY)[:-5], DataError),
+    "bad_dimension": (_pcf_bytes(b"PCF2 d=x n=16\n", _BODY), ConfigurationError),
+    "non_ascii_header": (_pcf_bytes("PCF2 d=2 n=16 \u00e9\n".encode(), _BODY),
                          ConfigurationError),
-    "trailing_bytes": (_pcf1_bytes(b"PCF1 d=2 n=16\n", _BODY) + b"\0", DataError),
-    "nan_coefficient": (_pcf1_bytes(b"PCF1 d=2 n=16\n", _NAN_BODY), DataError),
-    "non_hermitian": (_pcf1_bytes(b"PCF1 d=2 n=16\n", _UNPAIRED_BODY), DataError),
-    "complex_mean": (_pcf1_bytes(b"PCF1 d=2 n=16\n", _COMPLEX_MEAN_BODY), DataError),
-    "nyquist_entry": (_pcf1_bytes(b"PCF1 d=2 n=16\n", _NYQUIST_BODY), DataError),
+    "trailing_bytes": (_pcf_bytes(_HEADER, _BODY) + b"\0", DataError),
+    "nan_coefficient": (_pcf_bytes(_HEADER, _NAN_BODY), DataError),
+    "non_hermitian": (_pcf_bytes(_HEADER, _UNPAIRED_BODY), DataError),
+    "complex_mean": (_pcf_bytes(_HEADER, _COMPLEX_MEAN_BODY), DataError),
+    "nyquist_entry": (_pcf_bytes(_HEADER, _NYQUIST_BODY), DataError),
+    "nyquist_column": (_pcf_bytes(_HEADER, _NYQUIST_COLUMN_BODY), DataError),
+    # a PCF1 file held the full Hermitian array
+    "pcf1_header": (_pcf_bytes(b"PCF1 d=2 n=16\n", np.zeros((16, 16))),
+                    ConfigurationError),
 }
 
 
@@ -392,9 +432,11 @@ def test_read_pcf1_refuses_malformed_file(tmp_path, case):
     with pytest.raises(error) as info:
         read_pcf1(path)
     assert str(path) in str(info.value)
+    if case == "pcf1_header":
+        assert "PCF1" in str(info.value)
 
 
-_VALID_PCF1 = _pcf1_bytes(b"PCF1 d=2 n=8\n", to_spectral(
+_VALID_PCF1 = _pcf_bytes(b"PCF2 d=2 n=8\n", to_spectral(
     np.random.default_rng(3).standard_normal((8, 8)), grid(2, 8)).coeffs)
 
 
@@ -411,7 +453,8 @@ def test_read_pcf1_with_one_flipped_byte(tmp_path_factory, position, mask):
         assert str(path) in str(err)
         return
     c = f.coeffs
-    mirror = np.roll(np.flip(c), 1, axis=tuple(range(c.ndim)))
+    col = c[..., 0]
+    mirror = np.roll(np.flip(col), 1, axis=tuple(range(col.ndim)))
     assert np.all(np.isfinite(c))
-    assert np.array_equal(c, np.conj(mirror))
+    assert np.array_equal(col, np.conj(mirror))
     assert not np.any(c[~kept(f.grid)])

@@ -500,16 +500,16 @@ class TestPersistence:
             verify_stack(tmp_path / "stack")
 
     @pytest.mark.parametrize("stamp", ["r2c-1", "r2c-2", "r2c-3", "r2c-4", "r2c-5",
-                                       "r2c-6", "r2c-7"])
+                                       "r2c-6", "r2c-7", "r2c-8"])
     def test_previous_stamp_refused(self, anderson_stack, tmp_path, stamp):
         # r2c-1 stacks certified the nested Phi, so their cert_phi means
         # another norm; r2c-2 stacks took their exponentials from complex
         # FFTs, r2c-3 stacks measured their norms by power iteration,
         # r2c-4 stacks ran their products on the doubled grid, r2c-5
         # stacks formed Z~^M from 3d products, r2c-6 stacks kept the
-        # Nyquist planes, and r2c-7 stacks multiplied the derivatives of
-        # K and R outside the paraproduct passes, so none re-verifies bit
-        # for bit
+        # Nyquist planes, r2c-7 stacks multiplied the derivatives of K and
+        # R outside the paraproduct passes, and r2c-8 stacks held full
+        # Hermitian arrays in PCF1 files, so none re-verifies bit for bit
         save_stack(anderson_stack, tmp_path / "stack")
         path = tmp_path / "stack" / "stack_meta"
         meta = path.read_text().replace(f"kernel={KERNEL_VERSION}\n", f"kernel={stamp}\n")
