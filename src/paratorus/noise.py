@@ -100,7 +100,7 @@ def helmholtz_project(v: list[SpectralField]) -> list[SpectralField]:
     """Fourier-side projection onto divergence-free fields:
     vhat(k) -> (I - k k^T / |k|^2) vhat(k) for k != 0; the mean is kept.
 
-    On fields, whose Nyquist planes are zero, the output is exactly
+    On fields, whose Nyquist entries are zero, the output is exactly
     divergence-free and the projector idempotent."""
     g = v[0].grid
     if len(v) != g.d:

@@ -219,8 +219,8 @@ def factorization_remainder(stack: TransformStack, trials: int = 20,
 # preconditioned iterative solvers (matrix-free, deterministic)
 
 def _inner(a, b) -> float:
-    """The real inner product: exact for the real-linear operators on
-    Hermitian arrays, and it keeps every Krylov iterate Hermitian."""
+    """The real inner product, the L^2 product of the fields: exact for the
+    real-linear operators, and it keeps every Krylov iterate real."""
     return float(np.vdot(a, b).real)
 
 

@@ -298,7 +298,8 @@ def test_every_field_has_zero_nyquist_planes(dn):
         outputs.append(sample_white_noise(g, 3).coeffs)
     if g.n >= 32:
         P = partition(*dn)
-        for blocks in (low_side_blocks(P, raw), resonant_blocks(P, raw)):
+        for blocks in (low_side_blocks(P, raw), high_side_blocks(P, raw),
+                       resonant_blocks(P, raw)):
             engine = blocks_op(g, blocks)
             outputs += [engine.apply(raw), engine.adjoint(raw)]
     assert all(real_field(x, g) for x in outputs)
