@@ -7,18 +7,18 @@ solved by Picard iteration on
     kpz_map(W) = (lam - Delta)^{-1} (|grad W|^2 - grad W . grad V - xi)
 
 whose fixed points satisfy the equation exactly as displayed.  For rough
-data the iteration contracts once lam is large enough; auto_lambda doubles
-lam until a contraction window is observed, and solve_kpz resumes from the
-steps of the trial it accepts instead of taking them again.  The
-nonlinearity is evaluated as sum_l d_l W . d_l(W - V), by bilinearity d
-dealiased products instead of 2d, and solve_kpz evaluates it once per
-step: at W_k it gives both the residual of W_k and the next iterate
-W_{k+1}.
+data the iteration contracts once lam is large enough.  solve_kpz is the
+one Picard loop: its first TRIAL_STEPS steps test for contraction and a
+lam at which they do not contract is refused there, so auto_lambda
+doubles lam from 1 until a solve is accepted and returns that solve.
+The nonlinearity is evaluated as sum_l d_l W . d_l(W - V), by
+bilinearity d dealiased products instead of 2d, once per step: at W_k
+it gives both the residual of W_k and the next iterate W_{k+1}.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,16 +42,13 @@ TRIAL_STEPS = 20
 
 @dataclass(frozen=True)
 class KpzProblem:
-    """The equation at relaxation parameter lam.  `start`, when given, is
-    the state after the first start.iterations Picard steps from W = 0
-    (auto_lambda's accepted trial), from which solve_kpz resumes."""
+    """The equation at relaxation parameter lam."""
 
     xi: SpectralField
     V: SpectralField
     lam: float
     tol: float = 1e-10
     max_iter: int = 200
-    start: KpzResult | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.lam <= 0:
@@ -104,16 +101,37 @@ def kpz_residual(W: SpectralField, prob: KpzProblem) -> float:
     return _residual(W, nonlinearity(W, prob.V), prob)
 
 
+class _NoContraction(SolverDivergenceError):
+    """The first TRIAL_STEPS Picard steps did not contract."""
+
+
 def solve_kpz(prob: KpzProblem) -> KpzResult:
-    """Picard iteration until the residual drops below tol, from W = 0 or
-    from prob.start; the steps taken there count against max_iter, so a
-    resumed solve ends, or is refused, as the one from W = 0 would."""
-    if prob.start is None:
-        # the first step, from W_0 = 0, whose residual the trace omits
-        W, it, trace = kpz_map(zero_field(prob.xi.grid), prob), 1, []
-    else:
-        W, it, trace = prob.start.W, prob.start.iterations, list(prob.start.trace)
+    """Picard iteration from W = 0 until the residual drops below tol.
+
+    The first TRIAL_STEPS steps test for contraction: it is seen when,
+    after some step, the last CONTRACTION_WINDOW increment ratios
+    |W_{m+1} - W_m|_{H^1} / |W_m - W_{m-1}|_{H^1} all stay below
+    CONTRACTION_RATIO.  A solve that has not contracted by step
+    TRIAL_STEPS, or blows up before it, is refused there; one that
+    reaches tol or an increment of at most 1e-14 first is accepted for
+    good.  After that a blow-up, or max_iter steps, is a refusal.
+    """
+    W, it, trace = kpz_map(zero_field(prob.xi.grid), prob), 1, []
+    increments, contracted, trial = [sobolev_norm(W, 1.0)], False, True
     while True:
+        trial = trial and increments[-1] > 1e-14  # else at the fixed point
+        if trial:
+            window = increments[-CONTRACTION_WINDOW - 1:]
+            if len(window) > CONTRACTION_WINDOW:
+                ratios = [b / a for a, b in zip(window, window[1:]) if a > 0]
+                contracted = contracted or bool(ratios) and max(ratios) <= CONTRACTION_RATIO
+            if it == TRIAL_STEPS:
+                if not contracted:
+                    raise _NoContraction(
+                        f"no contraction in {TRIAL_STEPS} iterations; try a "
+                        f"larger relaxation parameter than {prob.lam:g}"
+                    )
+                trial = False
         nonlin = nonlinearity(W, prob.V)
         res = _residual(W, nonlin, prob)
         trace.append((it, res))
@@ -127,62 +145,28 @@ def solve_kpz(prob: KpzProblem) -> KpzResult:
             )
         it += 1
         try:
-            W = _step(W, nonlin, prob)
-        except SolverDivergenceError as exc:
-            raise SolverDivergenceError(f"{exc} (at iteration {it})") from None
-
-
-def _trial(prob: KpzProblem) -> KpzResult | None:
-    """The first Picard steps from W = 0 as solve_kpz takes them, at most
-    TRIAL_STEPS: the state they reach (its residual not yet evaluated,
-    nan) if they contract, None if not; see auto_lambda."""
-    W, it, trace = kpz_map(zero_field(prob.xi.grid), prob), 1, []
-    increments, contracted = [sobolev_norm(W, 1.0)], False
-    while increments[-1] > 1e-14:  # else already at the fixed point
-        window = increments[-CONTRACTION_WINDOW - 1:]
-        if len(window) > CONTRACTION_WINDOW:
-            ratios = [b / a for a, b in zip(window, window[1:]) if a > 0]
-            contracted = contracted or bool(ratios) and max(ratios) <= CONTRACTION_RATIO
-        if it == TRIAL_STEPS:
-            if not contracted:
-                return None
-            break
-        nonlin = nonlinearity(W, prob.V)
-        res = _residual(W, nonlin, prob)
-        if res <= prob.tol:  # solved: solve_kpz stops at this iterate
-            break
-        trace.append((it, res))
-        try:
             W_next = _step(W, nonlin, prob)
-        except SolverDivergenceError:
-            return None
-        increments.append(sobolev_norm(W_next - W, 1.0))
-        W, it = W_next, it + 1
-    return KpzResult(W, it, np.nan, trace)
+        except SolverDivergenceError as exc:
+            error = _NoContraction if trial else SolverDivergenceError
+            raise error(f"{exc} (at iteration {it})") from None
+        if trial:
+            increments.append(sobolev_norm(W_next - W, 1.0))
+        W = W_next
 
 
 def auto_lambda(
-    xi: SpectralField, V: SpectralField, g, tol: float = 1e-10
-) -> KpzProblem:
-    """Double lam from 1 until a TRIAL_STEPS-step Picard run from W = 0
-    contracts, and return the problem at that lam with the run's last
-    state as its start, so that solve_kpz takes no step twice.
-
-    Contraction is detected when, after some step, the last
-    CONTRACTION_WINDOW increment ratios |W_{m+1} - W_m|_{H^1} /
-    |W_m - W_{m-1}|_{H^1} all stay below CONTRACTION_RATIO and the run
-    then completes its steps without diverging; a run that reaches tol
-    or an increment of at most 1e-14 stops there and is accepted.  The
-    run evaluates the residual of each iterate, as solve_kpz does, so
-    that it stops where the solve would.  Capped at 2^20.
-    """
+    xi: SpectralField, V: SpectralField, tol: float = 1e-10
+) -> tuple[KpzProblem, KpzResult]:
+    """Double lam from 1 until solve_kpz accepts the problem, that is until
+    its first TRIAL_STEPS steps from W = 0 contract, and return the problem
+    with its finished solve.  Capped at 2^20."""
     lam = 1.0
     while lam <= LAMBDA_CAP:
         prob = KpzProblem(xi, V, lam, tol)
-        trial = _trial(prob)
-        if trial is not None:
-            return replace(prob, start=trial)
-        lam *= 2.0
+        try:
+            return prob, solve_kpz(prob)
+        except _NoContraction:
+            lam *= 2.0
     raise DataTooRoughError(
         f"no contraction found up to relaxation parameter {LAMBDA_CAP:g}"
     )

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, DataError, ResolutionError
-from .kpz import KpzProblem, auto_lambda, nonlinearity, solve_kpz
+from .kpz import auto_lambda, nonlinearity
 from .lp import random_field_with_decay
 from .torus import (
     Grid,
@@ -54,9 +54,9 @@ def heat_mollifier(eps: float, ksq: np.ndarray) -> np.ndarray:
     return np.exp(-4.0 * np.pi**2 * eps**2 * ksq)
 
 
-def check_noise_resolved(g: Grid, eps: float, mollifier=heat_mollifier) -> None:
+def check_noise_resolved(g: Grid, eps: float) -> None:
     """The mollifier must be negligible at the Nyquist shell."""
-    tail = float(mollifier(eps, np.array((g.n / 2.0) ** 2)))
+    tail = float(heat_mollifier(eps, np.array((g.n / 2.0) ** 2)))
     if tail > RESOLUTION_THRESHOLD:
         raise ResolutionError(
             f"noise not resolved: mollifier at the Nyquist shell is "
@@ -75,19 +75,19 @@ def sample_white_noise(g: Grid, seed: int) -> SpectralField:
     return SpectralField(g, np.ascontiguousarray(coeffs))
 
 
-def mollify(f: SpectralField, eps: float, mollifier=heat_mollifier) -> SpectralField:
+def mollify(f: SpectralField, eps: float) -> SpectralField:
     if eps <= 0:
         raise ConfigurationError(f"mollification scale must be > 0, got {eps}")
-    return field_from_coeffs(f.grid, mollifier(eps, f.grid.ksq) * f.coeffs)
+    return field_from_coeffs(f.grid, heat_mollifier(eps, f.grid.ksq) * f.coeffs)
 
 
-def wick_constant(g: Grid, eps: float, mollifier=heat_mollifier) -> float:
+def wick_constant(g: Grid, eps: float) -> float:
     """Deterministic lattice sum for E|grad W_eps|^2 with
     W_eps = (1-Delta)^{-1} xi_eps and unit-variance noise modes."""
     if g.d != 2:
         raise ConfigurationError("the Wick constant is the d=2 construction")
-    check_noise_resolved(g, eps, mollifier)
-    m2 = mollifier(eps, g.ksq) ** 2
+    check_noise_resolved(g, eps)
+    m2 = heat_mollifier(eps, g.ksq) ** 2
     terms = 4.0 * np.pi**2 * g.ksq * m2 / (1.0 + 4.0 * np.pi**2 * g.ksq) ** 2
     terms[(0,) * g.d] = 0.0
     for plane in g.nyquist:  # modes no field keeps
@@ -243,7 +243,7 @@ def _smooth_manufactured_fields(g: Grid, amplitude: float):
 
 
 def enhance_generic(spec: NoiseSpec, g: Grid, eps: float,
-                    lam: float | None = None, tol: float = 1e-10) -> EnhancedData:
+                    tol: float = 1e-10) -> EnhancedData:
     """Generic tuple: draw (xi, V, rho) with the configured regularities,
     solve the relaxed KPZ equation exactly, and set Z = (1 - lam) W with
     c = 0, which makes the unrelaxed identity hold to solver tolerance."""
@@ -268,24 +268,10 @@ def enhance_generic(spec: NoiseSpec, g: Grid, eps: float,
     xi = mollify(xi, eps)
     V = mollify(V, eps)
     rho = tuple(helmholtz_project([mollify(c, eps) for c in rho]))
-
-    if xi is not None and l2_norm(xi) == 0.0 and l2_norm(V) == 0.0:
-        W = zero_field(g)
-        lam_used = 1.0
-        Z = zero_field(g)
-    else:
-        if lam is None:
-            prob = auto_lambda(xi, V, g, tol)
-        else:
-            prob = KpzProblem(xi, V, lam, tol)
-        result = solve_kpz(prob)
-        W = result.W
-        lam_used = prob.lam
-        Z = (1.0 - lam_used) * W
-
+    prob, result = auto_lambda(xi, V, tol)
     data = EnhancedData(
-        eps=eps, xi=xi, V=V, rho=rho, W=W, Z=Z, c_eps=0.0,
-        seed=spec.seed, kind=spec.kind, lam=lam_used,
+        eps=eps, xi=xi, V=V, rho=rho, W=result.W, Z=(1.0 - prob.lam) * result.W,
+        c_eps=0.0, seed=spec.seed, kind=spec.kind, lam=prob.lam,
     )
     data.validate(tol_kpz=max(100.0 * tol, 1e-8))
     return data

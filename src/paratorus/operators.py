@@ -464,18 +464,25 @@ def spectrum(data: EnhancedData, lam0: float, k_eigs: int, seed: int = 0,
     directions and the newest block (a Krylov-Schur thick restart: Wu and
     Simon, SIAM J. Matrix Anal. Appl. 2000; Stewart, ibid. 2001).
 
-    The symmetric case (rho = 0, V = 0) returns Rayleigh quotients on A of
-    the Ritz vectors once each has |A phi - lam phi| <= tol |phi|.
-    Otherwise the iteration runs on S = (R + R*)/2 and, once every Ritz
-    residual on S is <= tol mu, returns 1/mu - lam0 with a warning: these
-    are not eigenvalues of A.  Raises EigenSolverError after `max_sweeps`
-    block steps.
+    Both cases first wait until every Ritz residual on R, which H gives
+    without a solve, is <= tol mu.  The symmetric case (rho = 0, V = 0)
+    then applies R once more to the Ritz vectors phi and returns the
+    Rayleigh quotients on A of the images psi = R phi once each has
+    |A psi - lam psi| <= tol |psi|.  Otherwise the iteration runs on
+    S = (R + R*)/2 and returns 1/mu - lam0 with a warning: these are not
+    eigenvalues of A.  Raises EigenSolverError after `max_sweeps` block
+    steps.
     """
     g = data.grid
     # the solves run 1000x tighter than tol (and never looser than the
-    # resolvent's default).  That is not always tight enough: restarting
-    # with inexact solves leaves a Ritz residual floor 100-1000x above the
-    # (lam0 + lam) x solve residual one would expect (measured, n = 64-256)
+    # resolvent's default).  A Ritz vector phi sums solve outputs and
+    # carries their errors at high frequencies, where A is large, so its
+    # residual on A stalls 100-1000x above (lam0 + lam) x solve residual
+    # (measured, n = 64-256): on n = 64 Anderson data (seeds 0-3, tol 1e-8
+    # to 1e-7) that floor failed 8 of 16 cases in 80 block steps.  One
+    # more solve damps those errors: A psi - lam psi for psi = R phi is
+    # (lam0 + lam)(R phi - mu phi) plus a multiple of the last solve's
+    # residual, and the iteration drives the first term to zero
     rop = ResolventOperator(data, lam0, tol=min(1e-10, 1e-3 * tol))
     symmetric = rop.symmetric
     if not symmetric:
@@ -511,16 +518,15 @@ def spectrum(data: EnhancedData, lam0: float, k_eigs: int, seed: int = 0,
         H[p:p + m, p - m:p] = B
         mu, S = np.linalg.eigh(0.5 * (H[:p, :p] + H[:p, :p].T))
         mu, S = mu[::-1], S[:, ::-1]  # lowest eigenvalues of A first
-        if symmetric:
-            eigs = _rayleigh_checked(S[:, :k_eigs].T @ basis[:p],
-                                     rop.a_op.op.apply, g, tol)
+        resid = H[:p + m, :p] @ S[:, :k_eigs]
+        resid[:p] -= S[:, :k_eigs] * mu[:k_eigs]
+        if np.all(np.linalg.norm(resid, axis=0) <= tol * mu[:k_eigs]):
+            if not symmetric:
+                return np.sort(1.0 / mu[:k_eigs] - lam0)
+            smoothed = (apply_r(phi) for phi in S[:, :k_eigs].T @ basis[:p])
+            eigs = _rayleigh_checked(smoothed, rop.a_op.op.apply, g, tol)
             if eigs is not None:
                 return eigs
-        else:
-            resid = H[:p + m, :p] @ S[:, :k_eigs]
-            resid[:p] -= S[:, :k_eigs] * mu[:k_eigs]
-            if np.all(np.linalg.norm(resid, axis=0) <= tol * mu[:k_eigs]):
-                return np.sort(1.0 / mu[:k_eigs] - lam0)
         if p + m > cap:
             keep = _invariant_basis(H[:p, :p], _RESTART_BLOCKS * m)
             r = keep.shape[1]

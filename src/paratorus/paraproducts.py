@@ -53,6 +53,7 @@ from .torus import (
     Grid,
     SpectralField,
     field_from_coeffs,
+    fold_half,
     hermitian_coeffs,
     make_real,
     product_size,
@@ -79,13 +80,6 @@ def bony_decompose(
 
 # ---------------------------------------------------------------------------
 # the dealiased-product engine and its block lists
-
-def _on_block_grid(sym: np.ndarray, n: int, m: int) -> np.ndarray:
-    """A symbol on the n-lattice restricted to the m-lattice (m <= n)."""
-    k = np.arange(m)
-    src = np.where(k <= m // 2, k, k + n - m)
-    return sym[np.ix_(*([src] * (sym.ndim - 1) + [src[: m // 2 + 1]]))]
-
 
 def _factors(sym) -> tuple:
     """A block symbol as its tuple of factors; None is no filter."""
@@ -161,7 +155,7 @@ class _FixedSidePara:
                 c = conj and np.iscomplexobj(s)
                 key = (min(m, n), id(s), c)
                 if key not in restricted:
-                    h = _on_block_grid(np.broadcast_to(s, g.half_shape), n, min(m, n))
+                    h = fold_half(np.broadcast_to(s, g.half_shape), n, min(m, n))
                     restricted[key] = np.conj(h) if c else h
                 out.append(restricted[key])
             return tuple(out)

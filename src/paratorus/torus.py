@@ -151,6 +151,8 @@ class SpectralField:
         return self.with_coeffs(-self.coeffs)
 
     def __mul__(self, scalar: float) -> "SpectralField":
+        if np.imag(scalar) != 0:
+            raise ConfigurationError(f"a real field times {scalar} is not a real field")
         return self.with_coeffs(self.coeffs * scalar)
 
     __rmul__ = __mul__

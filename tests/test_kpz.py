@@ -1,11 +1,10 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
-from paratorus import kpz, noise
+from paratorus import kpz
 from paratorus.errors import ConfigurationError, SolverDivergenceError
 from paratorus.kpz import (
+    TRIAL_STEPS,
     KpzProblem,
     auto_lambda,
     check_smoothing,
@@ -215,8 +214,10 @@ class TestSolve:
 class TestAutoLambda:
     def test_zero_data_immediate(self):
         g = grid(2, 32)
-        prob = auto_lambda(zero_field(g), zero_field(g), g)
+        prob, result = auto_lambda(zero_field(g), zero_field(g))
         assert prob.lam == 1.0
+        assert result.iterations == 1
+        assert not np.any(result.W.coeffs)
 
     def test_assumption_I_data_completes(self):
         g = grid(2, 64)
@@ -230,44 +231,55 @@ class TestAutoLambda:
         for seed in range(5):
             rng = np.random.default_rng(seed)
             base = mollify(random_field_with_decay(g, -0.4, rng), 2.0**-3)
-            lam_small = auto_lambda(0.5 * base, zero_field(g), g).lam
-            lam_big = auto_lambda(4.0 * base, zero_field(g), g).lam
+            lam_small = auto_lambda(0.5 * base, zero_field(g))[0].lam
+            lam_big = auto_lambda(4.0 * base, zero_field(g))[0].lam
             assert lam_big >= lam_small
 
 
 @pytest.mark.parametrize("seed, n", [(1, 128), (7, 128), (15, 32)])
-def test_solve_resumes_from_the_accepted_trial(monkeypatch, seed, n):
-    # enhance_generic's solve starts where auto_lambda's accepted trial
-    # stopped and ends (seeds 1, 7) or is refused (seed 15 at n = 32) as
-    # the solve from W = 0 at that lam, with the trial's steps fewer
-    # evaluations of the nonlinearity
-    problems = []
-    solve, evaluate = noise.solve_kpz, kpz.nonlinearity
-    monkeypatch.setattr(noise, "solve_kpz",
-                        lambda prob: problems.append(prob) or solve(prob))
-    try:
-        enhance_generic(NoiseSpec("generic_I", seed, amplitude=2.0), grid(2, n), 2.0**-3)
-    except SolverDivergenceError:
-        pass
-    [prob] = problems
-    assert prob.start is not None and prob.start.iterations > 1
-    calls = []
-    monkeypatch.setattr(kpz, "nonlinearity",
-                        lambda W, V: calls.append(1) or evaluate(W, V))
+def test_auto_lambda_returns_the_solve_from_zero(monkeypatch, seed, n):
+    # enhance_generic's one call to auto_lambda: each lam it doubles past
+    # is refused for want of contraction within TRIAL_STEPS steps, and the
+    # lam it accepts ends (seeds 1, 7) or is refused (seed 15 at n = 32) as
+    # the plain Picard loop from W = 0 there, with d (iterations + 1)
+    # products, so that no step is taken twice
+    solves, calls = [], []
+    solve, product = kpz.solve_kpz, kpz.pointwise_product
 
-    def outcome(p):
+    def recorded(prob):
         calls.clear()
         try:
-            r = solve_kpz(p)
+            out = solve(prob)
         except SolverDivergenceError as exc:
-            return str(exc), len(calls)
-        return (r.W.coeffs.tobytes(), r.iterations, r.residual, r.trace), len(calls)
+            solves.append((prob, exc, len(calls)))
+            raise
+        solves.append((prob, out, len(calls)))
+        return out
 
-    resumed, resumed_calls = outcome(prob)
-    from_zero, from_zero_calls = outcome(dataclasses.replace(prob, start=None))
-    assert resumed == from_zero
-    assert isinstance(resumed, str) == (seed == 15)
-    assert from_zero_calls - resumed_calls == prob.start.iterations
+    monkeypatch.setattr(kpz, "solve_kpz", recorded)
+    monkeypatch.setattr(kpz, "pointwise_product",
+                        lambda f, h: calls.append(1) or product(f, h))
+    g = grid(2, n)
+    try:
+        enhance_generic(NoiseSpec("generic_I", seed, amplitude=2.0), g, 2.0**-3)
+    except SolverDivergenceError:
+        pass
+    *refused, (prob, out, products) = solves
+    assert [p.lam for p, _, _ in solves] == [2.0**i for i in range(len(solves))]
+    for _, exc, refused_products in refused:
+        assert isinstance(exc, kpz._NoContraction)
+        assert refused_products <= g.d * TRIAL_STEPS
+    monkeypatch.undo()
+    if seed == 15:
+        assert type(out) is SolverDivergenceError
+        assert products == g.d * (prob.max_iter + 1)
+        with pytest.raises(AssertionError, match="did not converge"):
+            reference_solve(prob)
+        return
+    W_ref, iterations, trace = reference_solve(prob)
+    assert np.array_equal(out.W.coeffs, W_ref.coeffs)
+    assert (out.iterations, out.trace) == (iterations, trace)
+    assert products == g.d * (iterations + 1)
 
 
 @pytest.fixture(scope="module")

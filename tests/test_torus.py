@@ -94,6 +94,21 @@ class TestGrid:
         assert list(g.kaxes[1].ravel()) == [0, 1, 2, 3, 4]
 
 
+def test_field_times_non_real_scalar_refused():
+    # f * 1j has an anti-Hermitian column k_d = 0, the coefficients of no
+    # real field
+    g = grid(2, 16)
+    f = to_spectral(np.cos(2 * np.pi * g.meshgrid()[0]), g)
+    for scalar in (1j, 2.0 + 1e-300j, np.complex128(1j)):
+        with pytest.raises(ConfigurationError, match="not a real field"):
+            f * scalar
+        with pytest.raises(ConfigurationError, match="not a real field"):
+            scalar * f
+    for scalar in (2.0, np.float64(2), 2, 2.0 + 0j):
+        assert np.array_equal((f * scalar).coeffs, 2.0 * f.coeffs)
+        assert np.array_equal((scalar * f).coeffs, 2.0 * f.coeffs)
+
+
 class TestTransforms:
     def test_constant(self):
         g = grid(2, 16)
