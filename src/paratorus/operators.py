@@ -477,12 +477,10 @@ def spectrum(data: EnhancedData, lam0: float, k_eigs: int, seed: int = 0,
     # the solves run 1000x tighter than tol (and never looser than the
     # resolvent's default).  A Ritz vector phi sums solve outputs and
     # carries their errors at high frequencies, where A is large, so its
-    # residual on A stalls 100-1000x above (lam0 + lam) x solve residual
-    # (measured, n = 64-256): on n = 64 Anderson data (seeds 0-3, tol 1e-8
-    # to 1e-7) that floor failed 8 of 16 cases in 80 block steps.  One
-    # more solve damps those errors: A psi - lam psi for psi = R phi is
-    # (lam0 + lam)(R phi - mu phi) plus a multiple of the last solve's
-    # residual, and the iteration drives the first term to zero
+    # residual on A has a floor 100-1000x above (lam0 + lam) x solve
+    # residual (measured, n = 64-256), at times above tol.  psi = R phi has
+    # no such floor: (A - lam) psi = -(lam0 + lam)(R phi - mu phi) up to the
+    # last solve's error, and the iteration drives R phi - mu phi to zero
     rop = ResolventOperator(data, lam0, tol=min(1e-10, 1e-3 * tol))
     symmetric = rop.symmetric
     if not symmetric:

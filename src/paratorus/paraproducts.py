@@ -22,14 +22,15 @@ and the forward transform of a common output.  The builders
 block lists of one paraproduct; a sum such as sum_l d_l (f prec d_l w)
 concatenates their lists, run by `linops.blocks_op`, and `bony_decompose`
 and `linops.field_products_op` are block lists for it too.  The engine
-restricts each symbol factor to a block lattice once and caches one
-physical factor per (grid, fixed field, fixed symbol), so the blocks of
-such a sum share their factors whatever their derivatives.  It has an
-exact adjoint and keeps its private name because benchmark tooling
-patches it by that name.  Like `torus.pointwise_product` it takes the
-moving field through `torus.reflected_values`/`reflected_spectrum` and
-its fixed factors at `torus.true_values`, so the stored coefficients'
-sqrt 2 costs it no pass over an array.
+restricts each symbol factor to a block lattice once (`torus.fold_half`,
+the mode copy below) and caches one physical factor per (grid, fixed
+field, fixed symbol), so the blocks of such a sum share their factors
+whatever their derivatives.  It has an exact adjoint and keeps its
+private name because benchmark tooling patches it by that name.  Like
+`torus.pointwise_product` it takes the moving field through
+`torus.reflected_values`/`reflected_spectrum` and its fixed factors at
+`torus.true_values`, so the stored coefficients' sqrt 2 costs it no pass
+over an array.
 
 A block moves its input to the m-lattice and the product back by copying
 the modes both lattices keep (`torus.resample_half`), so the move back is
