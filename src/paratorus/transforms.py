@@ -33,9 +33,15 @@ correction premultiplied by Upsilon, since Upsilon (I - Upsilon^{-1} R)
 UpsilonBar^{-1} = e^{P>M W} Gamma UpsilonBar^{-1}: Theta runs one series
 in K + R and Theta^{-1} runs none.  cert_phi is the measured norm
 |K + R|_{H^1 -> H^1} <= 1/2: it certifies exactly the series Theta runs,
-and measuring it runs no series at all.  Every operator-norm certificate
-is a Golub-Kahan-Lanczos estimate (linops.operator_norm) that stops once
-it has settled, capped at power_iters x restarts steps.
+and measuring it runs no series at all.  cert_upsilon holds the parametrix
+norm |K|_{H^s -> H^s} <= 1/2 for each s in the stack's sigma_list; the
+default, DEFAULT_SIGMAS = (1,), measures it on H^1 alone, the space in
+which every Neumann series here measures its stop.  No Theta apply runs
+Upsilon^{-1} = sum_m K^m, so a stack measures two operator norms; a
+stack built with more weights persists and re-verifies each of them.
+Every operator-norm certificate is a Golub-Kahan-Lanczos estimate
+(linops.operator_norm) that stops once it has settled, capped at
+power_iters x restarts steps.
 
 The modified potential Z~^M is the exact zeroth-order coefficient of the
 conjugated operator (see operators.apply_A_tilde), so the paracontrolled
@@ -96,7 +102,7 @@ EXP_SMALLNESS = 0.25
 OPERATOR_SMALLNESS = 0.5
 NEUMANN_TOL = 1e-12
 NEUMANN_MAX_TERMS = 60
-DEFAULT_SIGMAS = (-2.0, 0.0, 1.0, 2.0)
+DEFAULT_SIGMAS = (1.0,)
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,10 +171,13 @@ def build_stack(
     """Assemble the full operator stack at the given cutoffs and measure
     all certificates (no search; see choose_cutoffs for the selection).
 
-    Each operator norm takes at most power_iters x restarts Golub-Kahan-
-    Lanczos steps from a start drawn from probe_seed (probe_seed + 1 for
-    cert_phi); the names are kept from the power iteration it replaced,
-    whose applies that cap never exceeds."""
+    The operator norms are cert_phi on H^1 and cert_upsilon on H^s for
+    each s in sigma_list (by default H^1 alone: two norms per stack).
+    Each takes at most power_iters x restarts Golub-Kahan-Lanczos steps
+    from a start drawn from probe_seed (probe_seed + 1 for cert_phi), so
+    cert_upsilon[s] does not depend on the other weights in sigma_list;
+    the names are kept from the power iteration it replaced, whose
+    applies that cap never exceeds."""
     g = data.grid
     if partition.grid != g:
         raise ConfigurationError("partition grid does not match the data grid")
@@ -272,7 +281,9 @@ def choose_cutoffs(
 ) -> TransformStack:
     """Smallest M with both exponential certificates <= 1/4, then the
     smallest N with cert_phi, the measured norm |K + R|_{H^1 -> H^1} of
-    the one series behind Gamma and Theta, <= 1/2.
+    the one series behind Gamma and Theta, <= 1/2; the stack found is
+    refused if a parametrix norm |K|_{H^s -> H^s}, s in sigma_list (H^1
+    alone by default), exceeds 1/2.
     Both searches are capped at the partition's top block index; hitting
     the cap is a refusal, not a silent degradation.  power_iters x
     restarts is the step cap of every operator norm (see build_stack)."""
@@ -408,7 +419,10 @@ def load_stack(directory) -> TransformStack:
 def verify_stack(directory) -> dict:
     """Rebuild the persisted stack and re-check every certificate bit-exactly.
 
-    Returns the comparison table; raises CertificateError on any mismatch
+    The stack is rebuilt with its persisted sigma_list, so a stack saved
+    with more parametrix weights than DEFAULT_SIGMAS re-measures each of
+    them.  Returns the comparison table, whose stored and recomputed
+    certificates are keyed as in stack_meta (see _certificates); raises CertificateError on any mismatch
     or if a certificate is out of bounds, and ConfigurationError if the
     stack was saved under other operator kernels or another composition."""
     d = Path(directory)

@@ -40,6 +40,7 @@ from paratorus.transforms import (
     KERNEL_VERSION,
     NEUMANN_MAX_TERMS,
     NEUMANN_TOL,
+    OPERATOR_SMALLNESS,
     assemble_theta,
     build_stack,
     choose_cutoffs,
@@ -160,6 +161,18 @@ class TestCertificates:
     def test_operator_norms(self, anderson_stack):
         assert max(anderson_stack.cert_upsilon.values()) <= 0.5
         assert anderson_stack.cert_phi <= 0.5
+
+    @pytest.mark.parametrize("name", ["anderson_stack", "drift_stack"])
+    def test_kbar_contracts_on_h1(self, request, name):
+        # Theta runs UpsilonBar^{-1} = sum_m Kbar^m with its stop measured
+        # in H^1; no stored certificate bounds Kbar, so measure it here at
+        # the stack's own step budget
+        stack = request.getfixturevalue(name)
+        kbar = subtract(identity_op(), stack.upsilon_bar)
+        norm = operator_norm(kbar, stack.grid, 1.0, 1.0, iters=stack.power_iters,
+                             restarts=stack.restarts, seed=stack.probe_seed + 2,
+                             kmax=2.0**stack.partition.j_max)
+        assert 0.0 < norm <= OPERATOR_SMALLNESS
 
     def test_eps_uniformity_recheck(self, anderson_stack):
         g = anderson_stack.grid
@@ -344,13 +357,19 @@ def power_norm(T, g, s_in=0.0, s_out=0.0, iters=30, restarts=2, seed=0,
     return float(best)
 
 
+# The weights at which the estimator tests measure K: the H^1 of the
+# default certificate and three others a sigma_list may ask for, among
+# them s = -2, where K's top two singular values nearly coincide.
+ESTIMATOR_SIGMAS = (-2.0, 0.0, 1.0, 2.0)
+
+
 def certified_operators(stack):
-    """(name, T, s, seed) for every norm build_stack certifies: K + R in
-    H^1 and K in each H^s, with their probe seeds."""
+    """(name, T, s, seed) for the norms build_stack can certify: K + R in
+    H^1 and K in each H^s of ESTIMATOR_SIGMAS, with their probe seeds."""
     k = subtract(identity_op(), stack.upsilon)
     k_plus_r = subtract(identity_op(), stack.phi)
     return [("K+R", k_plus_r, 1.0, stack.probe_seed + 1)] + [
-        ("K", k, s, stack.probe_seed) for s in DEFAULT_SIGMAS]
+        ("K", k, s, stack.probe_seed) for s in ESTIMATOR_SIGMAS]
 
 
 def dense_singular_values(T, g, s):
@@ -468,6 +487,52 @@ class TestPersistence:
         table = verify_stack(tmp_path / "stack")
         assert table["M"] == anderson_stack.M
         assert table["stored"] == table["recomputed"]
+
+    # perfbench's check_verified compares the verify table against a
+    # fixed set of keys built from the stack, so a key added to or dropped
+    # from the persisted certificates fails every benchmark verify
+    @staticmethod
+    def certificate_keys(sigma_list):
+        return (["cert_exp", "cert_exp_minus"]
+                + [f"cert_ups_{s:g}" for s in sigma_list] + ["cert_phi"])
+
+    def test_verify_table_keys(self, anderson_stack, tmp_path):
+        save_stack(anderson_stack, tmp_path / "stack")
+        table = verify_stack(tmp_path / "stack")
+        keys = self.certificate_keys(anderson_stack.sigma_list)
+        assert list(table["stored"]) == keys
+        assert list(table["recomputed"]) == keys
+        assert table["stored"]["cert_phi"] == anderson_stack.cert_phi
+        for s in anderson_stack.sigma_list:
+            assert table["stored"][f"cert_ups_{s:g}"] == anderson_stack.cert_upsilon[s]
+
+    def test_default_stack_persists_h1_only(self, drift_stack, tmp_path):
+        assert DEFAULT_SIGMAS == (1.0,)
+        assert drift_stack.sigma_list == DEFAULT_SIGMAS
+        assert list(drift_stack.cert_upsilon) == [1.0]
+        save_stack(drift_stack, tmp_path / "stack")
+        meta = (tmp_path / "stack" / "stack_meta").read_text().splitlines()
+        assert "sigma_list=1" in meta
+        assert [l.split("=")[0] for l in meta if l.startswith("cert_")] \
+            == self.certificate_keys((1.0,))
+
+    def test_four_weight_stack_reverifies(self, drift_stack, tmp_path):
+        sigmas = (-2.0, 0.0, 1.0, 2.0)
+        stack = build_stack(drift_stack.data, drift_stack.partition,
+                            drift_stack.M, drift_stack.N, sigmas,
+                            drift_stack.probe_seed, drift_stack.power_iters,
+                            drift_stack.restarts)
+        # each weight's norm starts from probe_seed: the H^1 value is the
+        # default stack's, whatever else sigma_list holds
+        assert stack.cert_upsilon[1.0] == drift_stack.cert_upsilon[1.0]
+        assert stack.cert_phi == drift_stack.cert_phi
+        save_stack(stack, tmp_path / "stack")
+        meta = (tmp_path / "stack" / "stack_meta").read_text().splitlines()
+        assert "sigma_list=-2,0,1,2" in meta
+        table = verify_stack(tmp_path / "stack")
+        assert list(table["recomputed"]) == self.certificate_keys(sigmas)
+        assert table["stored"] == table["recomputed"]
+        assert max(stack.cert_upsilon.values()) <= OPERATOR_SMALLNESS
 
     def test_tamper_detection(self, anderson_stack, tmp_path):
         from paratorus.errors import CertificateError
