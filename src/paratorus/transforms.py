@@ -422,9 +422,10 @@ def verify_stack(directory) -> dict:
     The stack is rebuilt with its persisted sigma_list, so a stack saved
     with more parametrix weights than DEFAULT_SIGMAS re-measures each of
     them.  Returns the comparison table, whose stored and recomputed
-    certificates are keyed as in stack_meta (see _certificates); raises CertificateError on any mismatch
-    or if a certificate is out of bounds, and ConfigurationError if the
-    stack was saved under other operator kernels or another composition."""
+    certificates are keyed as in stack_meta (see _certificates); raises
+    CertificateError on any mismatch or if a certificate is out of
+    bounds, and ConfigurationError if the stack was saved under other
+    operator kernels or another composition."""
     d = Path(directory)
     meta = read_meta(d / "stack_meta")
     kernel = meta.get("kernel", "c2c (no kernel stamp)")

@@ -496,16 +496,6 @@ class TestPersistence:
         return (["cert_exp", "cert_exp_minus"]
                 + [f"cert_ups_{s:g}" for s in sigma_list] + ["cert_phi"])
 
-    def test_verify_table_keys(self, anderson_stack, tmp_path):
-        save_stack(anderson_stack, tmp_path / "stack")
-        table = verify_stack(tmp_path / "stack")
-        keys = self.certificate_keys(anderson_stack.sigma_list)
-        assert list(table["stored"]) == keys
-        assert list(table["recomputed"]) == keys
-        assert table["stored"]["cert_phi"] == anderson_stack.cert_phi
-        for s in anderson_stack.sigma_list:
-            assert table["stored"][f"cert_ups_{s:g}"] == anderson_stack.cert_upsilon[s]
-
     def test_default_stack_persists_h1_only(self, drift_stack, tmp_path):
         assert DEFAULT_SIGMAS == (1.0,)
         assert drift_stack.sigma_list == DEFAULT_SIGMAS
@@ -513,13 +503,17 @@ class TestPersistence:
         save_stack(drift_stack, tmp_path / "stack")
         meta = (tmp_path / "stack" / "stack_meta").read_text().splitlines()
         assert "sigma_list=1" in meta
-        assert [l.split("=")[0] for l in meta if l.startswith("cert_")] \
-            == self.certificate_keys((1.0,))
+        keys = self.certificate_keys((1.0,))
+        assert [l.split("=")[0] for l in meta if l.startswith("cert_")] == keys
+        table = verify_stack(tmp_path / "stack")
+        assert list(table["stored"]) == keys
+        assert list(table["recomputed"]) == keys
+        assert table["stored"]["cert_phi"] == drift_stack.cert_phi
+        assert table["stored"]["cert_ups_1"] == drift_stack.cert_upsilon[1.0]
 
     def test_four_weight_stack_reverifies(self, drift_stack, tmp_path):
-        sigmas = (-2.0, 0.0, 1.0, 2.0)
         stack = build_stack(drift_stack.data, drift_stack.partition,
-                            drift_stack.M, drift_stack.N, sigmas,
+                            drift_stack.M, drift_stack.N, ESTIMATOR_SIGMAS,
                             drift_stack.probe_seed, drift_stack.power_iters,
                             drift_stack.restarts)
         # each weight's norm starts from probe_seed: the H^1 value is the
@@ -530,7 +524,7 @@ class TestPersistence:
         meta = (tmp_path / "stack" / "stack_meta").read_text().splitlines()
         assert "sigma_list=-2,0,1,2" in meta
         table = verify_stack(tmp_path / "stack")
-        assert list(table["recomputed"]) == self.certificate_keys(sigmas)
+        assert list(table["recomputed"]) == self.certificate_keys(ESTIMATOR_SIGMAS)
         assert table["stored"] == table["recomputed"]
         assert max(stack.cert_upsilon.values()) <= OPERATOR_SMALLNESS
 
