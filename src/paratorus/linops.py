@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CertificateError
+from .errors import CertificateError, ConfigurationError
 from .paraproducts import Block, _FixedSidePara
 from .torus import Grid, constant_value, gaussian_coeffs, product_size
 
@@ -209,6 +209,24 @@ def random_hermitian(g: Grid, rng: np.random.Generator, kmax: float | None = Non
 # With 1e-6, an isolated top value (K + R on n=128 drift data) stopped up
 # to 3e-8 below what 60 power steps reach; 1e-8 costs a few more steps.
 NORM_SETTLE_TOL = 1e-8
+# Failure probability p of one step of operator_norm's bound stop: the
+# chance that the stop certifies |T| <= bound at that step although |T|
+# exceeds it.
+NORM_BOUND_FAILURE = 1e-6
+
+
+def _bound_certified(sigma: float, bound: float | None, k: int, dim: int) -> bool:
+    """The Kuczynski-Wozniakowski stop: k Lanczos steps on B* B from a start
+    uniform on the unit sphere of R^dim give sigma >= sqrt(1 - delta) |B|
+    except with probability at most 1.648 sqrt(dim) e^{-sqrt(delta)(2k - 1)}
+    (SIAM J. Matrix Anal. Appl. 13, 1992).  With delta = 1 - (sigma /
+    bound)^2 that is the probability that |B| > bound; True once it is at
+    most NORM_BOUND_FAILURE."""
+    if bound is None or not sigma < bound:
+        return False
+    delta = 1.0 - (sigma / bound) ** 2
+    tail = 1.648 * np.sqrt(dim) * np.exp(-np.sqrt(delta) * (2 * k - 1))
+    return bool(tail <= NORM_BOUND_FAILURE)
 
 
 def operator_norm(
@@ -220,6 +238,7 @@ def operator_norm(
     restarts: int = 2,
     seed: int = 0,
     kmax: float | None = None,
+    bound: float | None = None,
 ) -> float:
     """Golub-Kahan-Lanczos estimate of |T|_{H^{s_in} -> H^{s_out}}.
 
@@ -233,9 +252,32 @@ def operator_norm(
     subspace (then it is exact), or after iters * restarts steps, a cap
     that never exceeds the applies of iters power steps from each of
     restarts starts.  The plain three-term recurrence keeps four vectors
-    and no basis; it combines them with real scalars only."""
+    and no basis; it combines them with real scalars only.
+
+    Given a bound, it also stops at the first step k whose estimate
+    sigma certifies |T| <= bound (the Kuczynski-Wozniakowski stop): sigma
+    < bound and 1.648 sqrt(N) e^{-sqrt(delta)(2k - 1)} <= p, with delta =
+    1 - (sigma / bound)^2, N = (n - 1)^d the real dimension of the fields
+    of g and p = NORM_BOUND_FAILURE.  The stop needs a start uniform on
+    the unit sphere of those fields, a Gaussian draw on every kept mode,
+    so a bound requires kmax=None.  p holds per step: at step k the stop
+    fires only for sigma below a threshold fixed by k, so it fires while
+    |T| > bound only if Lanczos stayed below sqrt(1 - delta_k) |T|, which
+    has probability at most p; over the whole estimate that is at most
+    cap * p.  The bound holds in exact arithmetic, and the recurrence
+    keeps no basis, so it loses orthogonality in floating point; the
+    dense-SVD tests of the certificates are the check.  A stop by
+    settling, on an invariant subspace or at the cap certifies nothing
+    by itself: the caller compares the returned lower bound with its
+    bound."""
+    if bound is not None and kmax is not None:
+        raise ConfigurationError(
+            "operator_norm's bound stop needs a start on every kept mode "
+            f"(kmax=None), got kmax={kmax:g}"
+        )
     B = compose(sobolev_op(g, s_out), T, sobolev_op(g, -s_in))
     cap = max(1, iters) * max(1, restarts)
+    dim = (g.n - 1) ** g.d
     v = random_hermitian(g, np.random.default_rng(seed), kmax=kmax)
     nv = coeff_norm(v)
     if nv == 0.0:
@@ -261,7 +303,7 @@ def operator_norm(
         sigma = float(np.linalg.norm(bidiag, 2))
         settled = sigma - best < NORM_SETTLE_TOL * sigma
         best = max(best, sigma)
-        if alpha == 0.0 or settled:
+        if alpha == 0.0 or settled or _bound_certified(best, bound, len(alphas), dim):
             break
         u = p / alpha
     return float(best)

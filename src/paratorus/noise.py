@@ -205,16 +205,19 @@ class NoiseSpec:
 
 
 def enhance_anderson2d(g: Grid, eps: float, seed: int,
-                       tol_kpz: float = 1e-9) -> EnhancedData:
-    """2d white-noise tuple: V = rho = 0, W = -(1-Delta)^{-1} xi_eps,
-    c the lattice-sum constant, Z = -(|grad W|^2 - c): the KPZ identity
-    is then exact."""
+                       tol_kpz: float = 1e-9,
+                       amplitude: float = 1.0) -> EnhancedData:
+    """2d white-noise tuple of noise strength a = amplitude: xi = a xi_eps,
+    V = rho = 0, W = -(1-Delta)^{-1} xi, c = a^2 times the lattice-sum
+    constant, Z = -(|grad W|^2 - c): the KPZ identity is then exact.  xi
+    and W scale by a, Z and c by a^2; a = 1 is the plain tuple, bit for
+    bit."""
     if g.d != 2:
         raise ConfigurationError("anderson2d enhancement requires d = 2")
     check_noise_resolved(g, eps)
-    xi = mollify(sample_white_noise(g, seed), eps)
+    xi = amplitude * mollify(sample_white_noise(g, seed), eps)
     W = field_from_coeffs(g, -xi.coeffs / (1.0 + 4.0 * np.pi**2 * g.ksq))
-    c = wick_constant(g, eps)
+    c = amplitude**2 * wick_constant(g, eps)
     Z = constant_field(g, c) - nonlinearity(W, zero_field(g))
     zerov = tuple(zero_field(g) for _ in range(g.d))
     data = EnhancedData(
@@ -248,7 +251,7 @@ def enhance_generic(spec: NoiseSpec, g: Grid, eps: float,
     solve the relaxed KPZ equation exactly, and set Z = (1 - lam) W with
     c = 0, which makes the unrelaxed identity hold to solver tolerance."""
     if spec.kind == "anderson2d":
-        return enhance_anderson2d(g, eps, spec.seed)
+        return enhance_anderson2d(g, eps, spec.seed, amplitude=spec.amplitude)
     spec.validate_for_dimension(g.d)
     check_noise_resolved(g, eps)
     rng = np.random.default_rng(spec.seed)

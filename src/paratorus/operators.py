@@ -604,7 +604,8 @@ class StudyResult:
 def _make_data(cfg: StudyConfig, eps: float) -> EnhancedData:
     g = grid(cfg.d, cfg.n)
     if cfg.kind == "anderson2d":
-        return enhance_anderson2d(g, eps, cfg.seed)
+        amplitude = cfg.noise.amplitude if cfg.noise else 1.0
+        return enhance_anderson2d(g, eps, cfg.seed, amplitude=amplitude)
     spec = cfg.noise or NoiseSpec(cfg.kind, seed=cfg.seed)
     return enhance_generic(spec, g, eps)
 

@@ -40,8 +40,14 @@ which every Neumann series here measures its stop.  No Theta apply runs
 Upsilon^{-1} = sum_m K^m, so a stack measures two operator norms; a
 stack built with more weights persists and re-verifies each of them.
 Every operator-norm certificate is a Golub-Kahan-Lanczos estimate
-(linops.operator_norm) that stops once it has settled, capped at
-power_iters x restarts steps.
+(linops.operator_norm) from a start uniform on the unit sphere of the
+fields.  It stops as soon as its value certifies the norm <=
+OPERATOR_SMALLNESS (the Kuczynski-Wozniakowski stop), once it has
+settled, or after power_iters x restarts steps.  So a certificate means
+"<= 1/2 except with probability at most p", p = linops.NORM_BOUND_FAILURE
+per step of the estimate (at most power_iters x restarts x p in all); an
+estimate that settled or reached its cap first is a lower bound, accepted
+or refused against 1/2 on its value.
 
 The modified potential Z~^M is the exact zeroth-order coefficient of the
 conjugated operator (see operators.apply_A_tilde), so the paracontrolled
@@ -174,10 +180,12 @@ def build_stack(
     The operator norms are cert_phi on H^1 and cert_upsilon on H^s for
     each s in sigma_list (by default H^1 alone: two norms per stack).
     Each takes at most power_iters x restarts Golub-Kahan-Lanczos steps
-    from a start drawn from probe_seed (probe_seed + 1 for cert_phi), so
-    cert_upsilon[s] does not depend on the other weights in sigma_list;
-    the names are kept from the power iteration it replaced, whose
-    applies that cap never exceeds."""
+    from a start drawn on every kept mode from probe_seed (probe_seed + 1
+    for cert_phi), so cert_upsilon[s] does not depend on the other
+    weights in sigma_list; the names are kept from the power iteration it
+    replaced, whose applies that cap never exceeds.  Each stops as soon as
+    it certifies <= OPERATOR_SMALLNESS except with probability at most p
+    = linops.NORM_BOUND_FAILURE per step (about 11 steps at n=128)."""
     g = data.grid
     if partition.grid != g:
         raise ConfigurationError("partition grid does not match the data grid")
@@ -239,14 +247,15 @@ def build_stack(
     theta = compose(m_epw, gamma, upsilon_bar_inv)
     theta_inv = compose(upsilon_bar, phi, m_epw_inv)
 
-    kmax = 2.0**partition.j_max
     cert_upsilon = {
         s: operator_norm(K, g, s_in=s, s_out=s, iters=power_iters,
-                         restarts=restarts, seed=probe_seed, kmax=kmax)
+                         restarts=restarts, seed=probe_seed,
+                         bound=OPERATOR_SMALLNESS)
         for s in sigma_list
     }
     cert_phi = operator_norm(phi_step, g, s_in=1.0, s_out=1.0, iters=power_iters,
-                             restarts=restarts, seed=probe_seed + 1, kmax=kmax)
+                             restarts=restarts, seed=probe_seed + 1,
+                             bound=OPERATOR_SMALLNESS)
     return TransformStack(
         data=data, partition=partition, M=M, N=N, sigma_list=tuple(sigma_list),
         probe_seed=probe_seed, power_iters=power_iters, restarts=restarts,
@@ -286,7 +295,11 @@ def choose_cutoffs(
     alone by default), exceeds 1/2.
     Both searches are capped at the partition's top block index; hitting
     the cap is a refusal, not a silent degradation.  power_iters x
-    restarts is the step cap of every operator norm (see build_stack)."""
+    restarts is the step cap of every operator norm (see build_stack).
+    An accepted operator-norm certificate means <= 1/2 except with
+    probability at most p = linops.NORM_BOUND_FAILURE per step of its
+    estimate, or, when the estimate settled or reached its cap first, a
+    lower bound <= 1/2."""
     cap = partition.j_max
     M = None
     for candidate in range(cap + 1):
@@ -368,10 +381,11 @@ _EXP_NAMES = ("e_pw", "e_pw_inv", "e_pwv", "e_pwv_inv", "e_pv2w")
 # blocks now carry the derivatives (certificates moved at round-off);
 # r2c-8 held fields as full Hermitian arrays and saved PCF1 bodies, now
 # half lattices in orthonormal coordinates saved as PCF2 (fields and
-# certificates moved at round-off; no PCF1 body is read).  The
-# factored KPZ nonlinearity needed no stamp: verify_stack reloads W, never
-# solves for it.
-KERNEL_VERSION = "r2c-9"
+# certificates moved at round-off; no PCF1 body is read); r2c-9 drew
+# the operator norms' starts on |k| <= 2^j_max and ran each to its
+# settling stop (other certificates).  The factored KPZ nonlinearity
+# needed no stamp: verify_stack reloads W, never solves for it.
+KERNEL_VERSION = "r2c-10"
 
 
 def _certificates(stack: TransformStack) -> dict[str, float]:
@@ -425,7 +439,11 @@ def verify_stack(directory) -> dict:
     certificates are keyed as in stack_meta (see _certificates); raises
     CertificateError on any mismatch or if a certificate is out of
     bounds, and ConfigurationError if the stack was saved under other
-    operator kernels or another composition."""
+    operator kernels or another composition.  The rebuild repeats each
+    estimate bit for bit, so an operator-norm certificate re-verified
+    here still means <= 1/2 except with probability at most p =
+    linops.NORM_BOUND_FAILURE per step of its estimate (see
+    build_stack)."""
     d = Path(directory)
     meta = read_meta(d / "stack_meta")
     kernel = meta.get("kernel", "c2c (no kernel stamp)")

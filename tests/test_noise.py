@@ -23,6 +23,7 @@ from paratorus.noise import (
     wick_constant,
     zero_data,
 )
+from paratorus.operators import StudyConfig, _make_data
 from paratorus.torus import (
     constant_field,
     div,
@@ -184,6 +185,28 @@ class TestAnderson2d:
         b = enhance_anderson2d(grid(2, 32), 2.0**-3, seed=9)
         assert np.array_equal(a.W.coeffs, b.W.coeffs)
         assert a.c_eps == b.c_eps
+
+    def test_amplitude_scales_exactly(self):
+        # xi and W scale by a, Z and c by a^2; a = 4 is a power of two, so
+        # each scaling is exact, and a = 1 gives the plain tuple bit for bit,
+        # through enhance_generic and a study's data alike
+        g = grid(2, 32)
+        eps = 2.0**-3
+
+        def parts(data):
+            return data.xi.coeffs, data.W.coeffs, data.Z.coeffs, data.c_eps
+
+        plain = parts(enhance_anderson2d(g, eps, seed=1))
+        one = parts(enhance_generic(NoiseSpec("anderson2d", seed=1), g, eps))
+        assert all(np.array_equal(a, b) for a, b in zip(one, plain))
+        spec = NoiseSpec("anderson2d", seed=1, amplitude=4.0)
+        four = enhance_generic(spec, g, eps)
+        for got, ref, factor in zip(parts(four), plain, (4.0, 4.0, 16.0, 16.0)):
+            assert np.array_equal(got, factor * ref)
+        assert four.kpz_residual() <= 1e-9
+        cfg = StudyConfig(n=32, eps_list=(2.0**-2, eps), seed=1, noise=spec)
+        study = parts(_make_data(cfg, eps))
+        assert all(np.array_equal(a, b) for a, b in zip(study, parts(four)))
 
     def test_renormalized_proxy_stabilizes(self):
         # successive-halving growth ratios of the negative-regularity proxy

@@ -50,7 +50,7 @@ from paratorus.transforms import (
     verify_stack,
 )
 
-from oracles import dense_matrix
+from oracles import dense_matrix, kept_basis
 
 
 @pytest.fixture(scope="module")
@@ -463,6 +463,101 @@ def test_operator_norm_of_zero_is_exact():
     assert calls == {"apply": 1, "adjoint": 0}
 
 
+# ---------------------------------------------------------------------------
+# the bound stop (Kuczynski-Wozniakowski) of the certificate norms
+
+@pytest.fixture(scope="module")
+def default_cap_drift_stack(drift_stack):
+    """drift_stack's data and cutoffs at build_stack's default caps (30 x
+    2 steps per norm), where the bound stop ends the certificate norms."""
+    return build_stack(drift_stack.data, drift_stack.partition, drift_stack.M,
+                       drift_stack.N)
+
+
+def h1_certificates(stack):
+    """(name, T, seed, stored value) of the two certificate norms on H^1."""
+    name, k_plus_r, _, seed = certified_operators(stack)[0]
+    k = subtract(identity_op(), stack.upsilon)
+    return [(name, k_plus_r, seed, stack.cert_phi),
+            ("K", k, stack.probe_seed, stack.cert_upsilon[1.0])]
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_bound_stop_brackets_dense_norm(default_cap_drift_stack, which):
+    # the stop ends the norm before it settles, and the certificate it
+    # issues holds: stored estimate <= dense sigma_1 <= 1/2
+    stack = default_cap_drift_stack
+    g = stack.grid
+    name, T, seed, stored = h1_certificates(stack)[which]
+    args = dict(s_in=1.0, s_out=1.0, iters=stack.power_iters,
+                restarts=stack.restarts, seed=seed)
+    # T is rebuilt from the stack's fields, equal to build_stack's
+    # operator up to round-off
+    bounded, bounded_calls = counting(T)
+    free, free_calls = counting(T)
+    value = operator_norm(bounded, g, bound=OPERATOR_SMALLNESS, **args)
+    assert abs(value - stored) <= 1e-12 * stored
+    operator_norm(free, g, **args)
+    assert bounded_calls["apply"] < free_calls["apply"], name
+    sigma_1 = dense_singular_values(T, g, 1.0)[0]
+    assert stored <= sigma_1 * (1 + 1e-12) and sigma_1 <= OPERATOR_SMALLNESS, \
+        (name, stored, sigma_1)
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_bound_below_norm_never_stops(default_cap_drift_stack, which):
+    # with a bound the norm exceeds, no step certifies it: the estimate
+    # runs as it would without a bound and ends above the bound
+    stack = default_cap_drift_stack
+    g = stack.grid
+    name, T, seed, _ = h1_certificates(stack)[which]
+    bound = 0.9 * dense_singular_values(T, g, 1.0)[0]
+    args = dict(s_in=1.0, s_out=1.0, iters=stack.power_iters,
+                restarts=stack.restarts, seed=seed)
+    value = operator_norm(T, g, bound=bound, **args)
+    assert value == operator_norm(T, g, **args)
+    assert value > bound, (name, value, bound)
+
+
+def test_bound_stop_leaves_cap_first_unchanged(drift_stack):
+    # at drift_apply's 8 x 1 cap the stop cannot fire before the cap
+    # (it needs 10 steps at n=32), so the bound changes no bit
+    g = drift_stack.grid
+    for name, T, seed, stored in h1_certificates(drift_stack):
+        args = dict(s_in=1.0, s_out=1.0, iters=8, restarts=1, seed=seed)
+        with_bound = operator_norm(T, g, bound=OPERATOR_SMALLNESS, **args)
+        assert with_bound == operator_norm(T, g, **args), name
+        assert abs(with_bound - stored) <= 1e-12 * stored, name
+
+
+def test_bound_stop_needs_full_band_start(drift_stack):
+    g = drift_stack.grid
+    with pytest.raises(ConfigurationError, match="kmax=None"):
+        operator_norm(drift_stack.upsilon, g, 1.0, 1.0, bound=0.5, kmax=4.0)
+
+
+def test_full_band_start_is_isotropic():
+    # the bound stop needs a start uniform on the unit sphere, that is a
+    # Gaussian whose coordinates in an orthonormal basis of the (n-1)^d
+    # real degrees of freedom have covariance proportional to I (here I/2).
+    # Over 20000 draws at n=8 (49 coordinates) the largest entry of
+    # |2 C - I| measured 0.023-0.029 at seeds 0-4, against 1.0 for the
+    # start on |k| <= n/8; the tolerance is 0.05.
+    g = grid(2, 8)
+    basis = kept_basis(g)
+
+    def real(x):
+        return np.concatenate([x.real.ravel(), x.imag.ravel()])
+
+    rows = np.stack([real(b) for b in basis])
+    rng = np.random.default_rng(0)
+    draws = 20000
+    coords = np.stack([rows @ real(random_hermitian(g, rng)) for _ in range(draws)])
+    cov = 2.0 * coords.T @ coords / draws
+    assert len(basis) == 49
+    assert np.abs(cov - np.eye(len(basis))).max() <= 0.05
+
+
 class TestEpsContinuity:
     def test_theta_cauchy_along_schedule(self):
         g = grid(2, 64)
@@ -559,7 +654,7 @@ class TestPersistence:
             verify_stack(tmp_path / "stack")
 
     @pytest.mark.parametrize("stamp", ["r2c-1", "r2c-2", "r2c-3", "r2c-4", "r2c-5",
-                                       "r2c-6", "r2c-7", "r2c-8"])
+                                       "r2c-6", "r2c-7", "r2c-8", "r2c-9"])
     def test_previous_stamp_refused(self, anderson_stack, tmp_path, stamp):
         # r2c-1 stacks certified the nested Phi, so their cert_phi means
         # another norm; r2c-2 stacks took their exponentials from complex
@@ -567,8 +662,10 @@ class TestPersistence:
         # r2c-4 stacks ran their products on the doubled grid, r2c-5
         # stacks formed Z~^M from 3d products, r2c-6 stacks kept the
         # Nyquist planes, r2c-7 stacks multiplied the derivatives of K and
-        # R outside the paraproduct passes, and r2c-8 stacks held full
-        # Hermitian arrays in PCF1 files, so none re-verifies bit for bit
+        # R outside the paraproduct passes, r2c-8 stacks held full
+        # Hermitian arrays in PCF1 files, and r2c-9 stacks drew their norms'
+        # starts on |k| <= n/8 and ran them to settling, so none re-verifies
+        # bit for bit
         save_stack(anderson_stack, tmp_path / "stack")
         path = tmp_path / "stack" / "stack_meta"
         meta = path.read_text().replace(f"kernel={KERNEL_VERSION}\n", f"kernel={stamp}\n")
