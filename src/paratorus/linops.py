@@ -216,12 +216,13 @@ NORM_BOUND_FAILURE = 1e-6
 
 
 def _bound_certified(sigma: float, bound: float | None, k: int, dim: int) -> bool:
-    """The Kuczynski-Wozniakowski stop: k Lanczos steps on B* B from a start
-    uniform on the unit sphere of R^dim give sigma >= sqrt(1 - delta) |B|
-    except with probability at most 1.648 sqrt(dim) e^{-sqrt(delta)(2k - 1)}
-    (SIAM J. Matrix Anal. Appl. 13, 1992).  With delta = 1 - (sigma /
-    bound)^2 that is the probability that |B| > bound; True once it is at
-    most NORM_BOUND_FAILURE."""
+    """The Kuczynski-Wozniakowski stop.  For a fixed delta in (0, 1), k
+    Lanczos steps on B* B from a start uniform on the unit sphere of R^dim
+    give sigma^2 >= (1 - delta) |B|^2 except with probability at most
+    1.648 sqrt(dim) e^{-sqrt(delta)(2k - 1)} (SIAM J. Matrix Anal. Appl.
+    13, 1992).  True when sigma < bound and that tail, at delta = 1 -
+    (sigma / bound)^2, is at most NORM_BOUND_FAILURE (operator_norm says
+    what that certifies)."""
     if bound is None or not sigma < bound:
         return False
     delta = 1.0 - (sigma / bound) ** 2
@@ -260,16 +261,16 @@ def operator_norm(
     1 - (sigma / bound)^2, N = (n - 1)^d the real dimension of the fields
     of g and p = NORM_BOUND_FAILURE.  The stop needs a start uniform on
     the unit sphere of those fields, a Gaussian draw on every kept mode,
-    so a bound requires kmax=None.  p holds per step: at step k the stop
-    fires only for sigma below a threshold fixed by k, so it fires while
-    |T| > bound only if Lanczos stayed below sqrt(1 - delta_k) |T|, which
-    has probability at most p; over the whole estimate that is at most
-    cap * p.  The bound holds in exact arithmetic, and the recurrence
-    keeps no basis, so it loses orthogonality in floating point; the
-    dense-SVD tests of the certificates are the check.  A stop by
-    settling, on an invariant subspace or at the cap certifies nothing
-    by itself: the caller compares the returned lower bound with its
-    bound."""
+    so a bound requires kmax=None.  p holds per step: the stop fires at
+    step k only if sigma <= sqrt(1 - d_k) bound, where d_k is the delta
+    at which the tail equals p, so while |T| > bound it fires there only
+    if sigma^2 < (1 - d_k) |T|^2, which has probability at most p; over
+    the whole estimate that is at most cap * p.  The bound holds in exact
+    arithmetic, and the recurrence keeps no basis, so it loses
+    orthogonality in floating point; the dense-SVD tests of the
+    certificates are the check.  A stop by settling, on an invariant
+    subspace or at the cap certifies nothing by itself: the caller
+    compares the returned lower bound with its bound."""
     if bound is not None and kmax is not None:
         raise ConfigurationError(
             "operator_norm's bound stop needs a start on every kept mode "
