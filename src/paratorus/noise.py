@@ -291,7 +291,7 @@ def zero_data(g: Grid) -> EnhancedData:
 
 
 # ---------------------------------------------------------------------------
-# persistence: a directory of PCF1 files plus a key=value meta file.
+# persistence: a directory of PCF2 field files plus a key=value meta file.
 # Directories saved by earlier versions also hold Z_tilde, sp_V, sp_W and
 # rho_exp_<i> files, which are ignored.
 

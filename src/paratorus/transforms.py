@@ -34,11 +34,9 @@ UpsilonBar^{-1} = e^{P>M W} Gamma UpsilonBar^{-1}: Theta runs one series
 in K + R and Theta^{-1} runs none.  cert_phi is the measured norm
 |K + R|_{H^1 -> H^1} <= 1/2: it certifies exactly the series Theta runs,
 and measuring it runs no series at all.  cert_upsilon holds the parametrix
-norm |K|_{H^s -> H^s} <= 1/2 for each s in the stack's sigma_list; the
-default, DEFAULT_SIGMAS = (1,), measures it on H^1 alone, the space in
-which every Neumann series here measures its stop.  No Theta apply runs
-Upsilon^{-1} = sum_m K^m, so a stack measures two operator norms; a
-stack built with more weights persists and re-verifies each of them.
+norm |K|_{H^1 -> H^1} <= 1/2, on H^1 alone, the space in which every
+Neumann series here measures its stop.  No Theta apply runs Upsilon^{-1}
+= sum_m K^m, so a stack measures two operator norms.
 Every operator-norm certificate is a Golub-Kahan-Lanczos estimate
 (linops.operator_norm) from a start uniform on the unit sphere of the
 fields.  It stops as soon as its value certifies the norm <=
@@ -47,7 +45,8 @@ settled, or after power_iters x restarts steps.  So a certificate means
 "<= 1/2 except with probability at most p", p = linops.NORM_BOUND_FAILURE
 per step of the estimate (at most power_iters x restarts x p in all); an
 estimate that settled or reached its cap first is a lower bound, accepted
-or refused against 1/2 on its value.
+or refused against 1/2 on its value.  check_certificates alone accepts
+or refuses a finished stack, against the bounds in CERTIFICATE_BOUNDS.
 
 The modified potential Z~^M is the exact zeroth-order coefficient of the
 conjugated operator (see operators.apply_A_tilde), so the paracontrolled
@@ -108,7 +107,6 @@ EXP_SMALLNESS = 0.25
 OPERATOR_SMALLNESS = 0.5
 NEUMANN_TOL = 1e-12
 NEUMANN_MAX_TERMS = 60
-DEFAULT_SIGMAS = (1.0,)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,7 +115,6 @@ class TransformStack:
     partition: DyadicPartition
     M: int
     N: int
-    sigma_list: tuple
     probe_seed: int
     power_iters: int
     restarts: int
@@ -140,8 +137,9 @@ class TransformStack:
     theta_inv: LinOp
     cert_exp_plus: float
     cert_exp_minus: float
-    cert_upsilon: MappingProxyType  # keyed by sigma
+    cert_upsilon: MappingProxyType  # {1.0: |K|_{H^1 -> H^1}}
     cert_phi: float
+    sigma_list = (1.0,)  # the one Sobolev weight of cert_upsilon
 
     @property
     def grid(self):
@@ -169,7 +167,6 @@ def build_stack(
     partition: DyadicPartition,
     M: int,
     N: int,
-    sigma_list: tuple = DEFAULT_SIGMAS,
     probe_seed: int = 1000,
     power_iters: int = 30,
     restarts: int = 2,
@@ -177,15 +174,14 @@ def build_stack(
     """Assemble the full operator stack at the given cutoffs and measure
     all certificates (no search; see choose_cutoffs for the selection).
 
-    The operator norms are cert_phi on H^1 and cert_upsilon on H^s for
-    each s in sigma_list (by default H^1 alone: two norms per stack).
-    Each takes at most power_iters x restarts Golub-Kahan-Lanczos steps
-    from a start drawn on every kept mode from probe_seed (probe_seed + 1
-    for cert_phi), so cert_upsilon[s] does not depend on the other
-    weights in sigma_list; the names are kept from the power iteration it
-    replaced, whose applies that cap never exceeds.  Each stops as soon as
-    it certifies <= OPERATOR_SMALLNESS except with probability at most p
-    = linops.NORM_BOUND_FAILURE per step (about 11 steps at n=128)."""
+    The operator norms are cert_phi = |K + R| and cert_upsilon[1] = |K|,
+    both on H^1: two norms per stack.  Each takes at most power_iters x
+    restarts Golub-Kahan-Lanczos steps from a start drawn on every kept
+    mode from probe_seed (probe_seed + 1 for cert_phi); the names are kept
+    from the power iteration it replaced, whose applies that cap never
+    exceeds.  Each stops as soon as it certifies <= OPERATOR_SMALLNESS
+    except with probability at most p = linops.NORM_BOUND_FAILURE per step
+    (about 11 steps at n=128)."""
     g = data.grid
     if partition.grid != g:
         raise ConfigurationError("partition grid does not match the data grid")
@@ -247,18 +243,15 @@ def build_stack(
     theta = compose(m_epw, gamma, upsilon_bar_inv)
     theta_inv = compose(upsilon_bar, phi, m_epw_inv)
 
-    cert_upsilon = {
-        s: operator_norm(K, g, s_in=s, s_out=s, iters=power_iters,
-                         restarts=restarts, seed=probe_seed,
-                         bound=OPERATOR_SMALLNESS)
-        for s in sigma_list
-    }
+    cert_upsilon = {1.0: operator_norm(K, g, s_in=1.0, s_out=1.0,
+                                       iters=power_iters, restarts=restarts,
+                                       seed=probe_seed, bound=OPERATOR_SMALLNESS)}
     cert_phi = operator_norm(phi_step, g, s_in=1.0, s_out=1.0, iters=power_iters,
                              restarts=restarts, seed=probe_seed + 1,
                              bound=OPERATOR_SMALLNESS)
     return TransformStack(
-        data=data, partition=partition, M=M, N=N, sigma_list=tuple(sigma_list),
-        probe_seed=probe_seed, power_iters=power_iters, restarts=restarts,
+        data=data, partition=partition, M=M, N=N, probe_seed=probe_seed,
+        power_iters=power_iters, restarts=restarts,
         e_pw=e_pw, e_pw_inv=e_pw_inv, e_pwv=e_pwv, e_pwv_inv=e_pwv_inv,
         e_pv2w=e_pv2w, Z_tilde_M=Z_tilde_M,
         lambda_=lambda_, lambda_bar=lambda_bar, upsilon=upsilon,
@@ -283,7 +276,6 @@ def exponential_certificates(data: EnhancedData, M: int) -> tuple[float, float]:
 def choose_cutoffs(
     data: EnhancedData,
     partition: DyadicPartition,
-    sigma_list: tuple = DEFAULT_SIGMAS,
     probe_seed: int = 1000,
     power_iters: int = 30,
     restarts: int = 2,
@@ -291,8 +283,8 @@ def choose_cutoffs(
     """Smallest M with both exponential certificates <= 1/4, then the
     smallest N with cert_phi, the measured norm |K + R|_{H^1 -> H^1} of
     the one series behind Gamma and Theta, <= 1/2; the stack found is
-    refused if a parametrix norm |K|_{H^s -> H^s}, s in sigma_list (H^1
-    alone by default), exceeds 1/2.
+    accepted or refused by check_certificates, which refuses it when the
+    parametrix norm |K|_{H^1 -> H^1} exceeds 1/2.
     Both searches are capped at the partition's top block index; hitting
     the cap is a refusal, not a silent degradation.  power_iters x
     restarts is the step cap of every operator norm (see build_stack).
@@ -314,8 +306,8 @@ def choose_cutoffs(
         )
     stack = None
     for candidate in range(cap + 1):
-        stack = build_stack(data, partition, M, candidate, sigma_list,
-                            probe_seed, power_iters, restarts)
+        stack = build_stack(data, partition, M, candidate, probe_seed,
+                            power_iters, restarts)
         if stack.cert_phi <= OPERATOR_SMALLNESS:
             break
         stack = None
@@ -324,12 +316,7 @@ def choose_cutoffs(
             f"no cutoff N <= {cap} reaches the paracontrolled smallness "
             f"{OPERATOR_SMALLNESS}"
         )
-    worst = max(stack.cert_upsilon.values())
-    if worst > OPERATOR_SMALLNESS:
-        raise CertificateError(
-            f"measured parametrix norm {worst:.3f} exceeds "
-            f"{OPERATOR_SMALLNESS} at M={M}; data too rough for this grid"
-        )
+    check_certificates(stack)
     return stack
 
 
@@ -388,13 +375,33 @@ _EXP_NAMES = ("e_pw", "e_pw_inv", "e_pwv", "e_pwv_inv", "e_pv2w")
 KERNEL_VERSION = "r2c-10"
 
 
-def _certificates(stack: TransformStack) -> dict[str, float]:
-    """The persisted certificates keyed as in stack_meta, in file order."""
-    certs = {"cert_exp": stack.cert_exp_plus,
-             "cert_exp_minus": stack.cert_exp_minus}
-    certs.update({f"cert_ups_{s:g}": stack.cert_upsilon[s] for s in stack.sigma_list})
-    certs["cert_phi"] = stack.cert_phi
-    return certs
+# Every persisted certificate, in stack_meta order, with the bound it certifies.
+CERTIFICATE_BOUNDS = {
+    "cert_exp": EXP_SMALLNESS,
+    "cert_exp_minus": EXP_SMALLNESS,
+    "cert_ups_1": OPERATOR_SMALLNESS,
+    "cert_phi": OPERATOR_SMALLNESS,
+}
+
+
+def certificates(stack: TransformStack) -> dict[str, float]:
+    """The stack's certificates keyed as in CERTIFICATE_BOUNDS."""
+    return {"cert_exp": stack.cert_exp_plus,
+            "cert_exp_minus": stack.cert_exp_minus,
+            "cert_ups_1": stack.cert_upsilon[1.0],
+            "cert_phi": stack.cert_phi}
+
+
+def check_certificates(stack: TransformStack) -> None:
+    """Accept a finished stack, or raise CertificateError naming the first
+    certificate that is not within its bound in CERTIFICATE_BOUNDS."""
+    for key, value in certificates(stack).items():
+        bound = CERTIFICATE_BOUNDS[key]
+        if not value <= bound:
+            raise CertificateError(
+                f"certificate {key}={value:.6g} exceeds its bound {bound} "
+                f"(M={stack.M}, N={stack.N}, eps={stack.data.eps:g})"
+            )
 
 
 def save_stack(stack: TransformStack, directory) -> None:
@@ -407,12 +414,11 @@ def save_stack(stack: TransformStack, directory) -> None:
         fh.write(f"kernel={KERNEL_VERSION}\n")
         fh.write(f"M={stack.M}\n")
         fh.write(f"N={stack.N}\n")
-        for key, value in _certificates(stack).items():
+        for key, value in certificates(stack).items():
             fh.write(f"{key}={value:.17g}\n")
         fh.write(f"probe_seed={stack.probe_seed}\n")
         fh.write(f"power_iters={stack.power_iters}\n")
         fh.write(f"restarts={stack.restarts}\n")
-        fh.write(f"sigma_list={','.join('%g' % s for s in stack.sigma_list)}\n")
 
 
 def load_stack(directory) -> TransformStack:
@@ -420,26 +426,22 @@ def load_stack(directory) -> TransformStack:
     meta = read_meta(d / "stack_meta")
     data = load_enhanced(d / "data")
     partition = DyadicPartition(data.grid)
-    sigma_list = meta.parsed("sigma_list",
-                             lambda v: tuple(float(s) for s in v.split(",")))
-    stack = build_stack(
-        data, partition, meta.parsed("M", int), meta.parsed("N", int), sigma_list,
+    return build_stack(
+        data, partition, meta.parsed("M", int), meta.parsed("N", int),
         meta.parsed("probe_seed", int), meta.parsed("power_iters", int),
         meta.parsed("restarts", int),
     )
-    return stack
 
 
 def verify_stack(directory) -> dict:
     """Rebuild the persisted stack and re-check every certificate bit-exactly.
 
-    The stack is rebuilt with its persisted sigma_list, so a stack saved
-    with more parametrix weights than DEFAULT_SIGMAS re-measures each of
-    them.  Returns the comparison table, whose stored and recomputed
-    certificates are keyed as in stack_meta (see _certificates); raises
-    CertificateError on any mismatch or if a certificate is out of
-    bounds, and ConfigurationError if the stack was saved under other
-    operator kernels or another composition.  The rebuild repeats each
+    Returns the comparison table, whose stored and recomputed certificates
+    are keyed as in CERTIFICATE_BOUNDS; raises CertificateError on any
+    mismatch, on a cert_* entry it does not recompute (as a stack saved
+    with several parametrix weights holds), or if check_certificates
+    refuses the stack, and ConfigurationError if the stack was saved under
+    other operator kernels or another composition.  The rebuild repeats each
     estimate bit for bit, so an operator-norm certificate re-verified
     here still means <= 1/2 except with probability at most p =
     linops.NORM_BOUND_FAILURE per step of its estimate (see
@@ -454,8 +456,12 @@ def verify_stack(directory) -> dict:
             f"the composition of the stack differ, so its certificates cannot "
             f"be re-verified bit for bit: build and save it again"
         )
+    stray = [k for k in meta if k.startswith("cert_") and k not in CERTIFICATE_BOUNDS]
+    if stray:
+        raise CertificateError(f"{d / 'stack_meta'}: holds {', '.join(stray)}, "
+                               f"which this build does not recompute")
     stack = load_stack(d)
-    recomputed = _certificates(stack)
+    recomputed = certificates(stack)
     stored = {key: meta.parsed(key) for key in recomputed}
     for key, value in stored.items():
         if recomputed[key] != value:
@@ -467,10 +473,5 @@ def verify_stack(directory) -> dict:
         disk = read_pcf1(d / f"{name}.pcf")
         if not np.array_equal(disk.coeffs, getattr(stack, name).coeffs):
             raise CertificateError(f"cached exponential {name} mismatch")
-    if stack.cert_exp_plus > EXP_SMALLNESS or stack.cert_exp_minus > EXP_SMALLNESS:
-        raise CertificateError("exponential smallness certificate violated")
-    if stack.cert_phi > OPERATOR_SMALLNESS:
-        raise CertificateError("paracontrolled smallness certificate violated")
-    if max(stack.cert_upsilon.values()) > OPERATOR_SMALLNESS:
-        raise CertificateError("parametrix norm certificate violated")
+    check_certificates(stack)
     return {"stored": stored, "recomputed": recomputed, "M": stack.M, "N": stack.N}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from paratorus import operators
-from paratorus.errors import EigenSolverError, ShiftTooSmallError
+from paratorus.errors import CertificateError, EigenSolverError, ShiftTooSmallError
 from paratorus.linops import (
     add,
     compose,
@@ -492,6 +492,29 @@ class TestStudySmall:
         assert result.pairs[0]["d_res"] <= 1e-9
         assert result.pairs[0]["d_fac"] <= 1e-9
         assert result.rows[0]["c_lo"] == pytest.approx(1.0, abs=1e-10)
+
+    def test_coarse_scale_certificates_checked(self, monkeypatch):
+        # the stacks of the coarse scales are built at the cutoffs chosen
+        # at the finest scale; each must pass all four certificates, not
+        # only the two exponential ones
+        cfg = StudyConfig(
+            n=32, eps_list=(2.0**-3, 2.0**-4), seed=2, k_eigs=2,
+            power_iters_res=2, power_iters_fac=2, power_iters_cert=4,
+            equivalence_trials=2,
+        )
+        coarse = cfg.eps_list[0]
+        build = operators.build_stack
+
+        def inflated(data, *args, **kwargs):
+            stack = build(data, *args, **kwargs)
+            if data.eps == coarse:
+                stack = dataclasses.replace(stack, cert_phi=0.75)
+            return stack
+
+        monkeypatch.setattr(operators, "build_stack", inflated)
+        with pytest.raises(CertificateError,
+                           match=f"cert_phi=0.75 .* eps={coarse:g}\\)"):
+            convergence_study(cfg)
 
     def test_anderson_small_study_runs(self):
         cfg = StudyConfig(

@@ -1,10 +1,11 @@
 import dataclasses
+from types import MappingProxyType
 
 import numpy as np
 import pytest
 
 from paratorus import paraproducts
-from paratorus.errors import ConfigurationError
+from paratorus.errors import CertificateError, ConfigurationError
 from paratorus.linops import (
     NORM_SETTLE_TOL,
     LinOp,
@@ -36,13 +37,14 @@ from paratorus.torus import (
     to_spectral,
 )
 from paratorus.transforms import (
-    DEFAULT_SIGMAS,
+    CERTIFICATE_BOUNDS,
     KERNEL_VERSION,
     NEUMANN_MAX_TERMS,
     NEUMANN_TOL,
     OPERATOR_SMALLNESS,
     assemble_theta,
     build_stack,
+    check_certificates,
     choose_cutoffs,
     exponential_certificates,
     modified_potential,
@@ -173,6 +175,30 @@ class TestCertificates:
                              restarts=stack.restarts, seed=stack.probe_seed + 2,
                              kmax=2.0**stack.partition.j_max)
         assert 0.0 < norm <= OPERATOR_SMALLNESS
+
+    # the field of each certificate, keyed as in CERTIFICATE_BOUNDS
+    FIELDS = {"cert_exp": "cert_exp_plus", "cert_exp_minus": "cert_exp_minus",
+              "cert_ups_1": "cert_upsilon", "cert_phi": "cert_phi"}
+
+    @pytest.mark.parametrize("key", list(FIELDS))
+    def test_check_refuses_each_certificate_over_its_bound(self, drift_stack, key):
+        bound = CERTIFICATE_BOUNDS[key]
+
+        def with_value(value):
+            field = self.FIELDS[key]
+            if field == "cert_upsilon":
+                value = MappingProxyType({1.0: value})
+            return dataclasses.replace(drift_stack, **{field: value})
+
+        check_certificates(with_value(bound))
+        with pytest.raises(CertificateError) as err:
+            check_certificates(with_value(np.nextafter(bound, 1.0)))
+        message = str(err.value)
+        assert f"{key}=" in message and f"bound {bound}" in message
+        assert (f"M={drift_stack.M}, N={drift_stack.N}, "
+                f"eps={drift_stack.data.eps:g}") in message
+        with pytest.raises(CertificateError, match=key):
+            check_certificates(with_value(float("nan")))
 
     def test_eps_uniformity_recheck(self, anderson_stack):
         g = anderson_stack.grid
@@ -358,14 +384,15 @@ def power_norm(T, g, s_in=0.0, s_out=0.0, iters=30, restarts=2, seed=0,
 
 
 # The weights at which the estimator tests measure K: the H^1 of the
-# default certificate and three others a sigma_list may ask for, among
-# them s = -2, where K's top two singular values nearly coincide.
+# certificate and three others, among them s = -2, where K's top two
+# singular values nearly coincide.
 ESTIMATOR_SIGMAS = (-2.0, 0.0, 1.0, 2.0)
 
 
 def certified_operators(stack):
-    """(name, T, s, seed) for the norms build_stack can certify: K + R in
-    H^1 and K in each H^s of ESTIMATOR_SIGMAS, with their probe seeds."""
+    """(name, T, s, seed): K + R in H^1 and K in each H^s of
+    ESTIMATOR_SIGMAS (build_stack certifies K in H^1), with their probe
+    seeds."""
     k = subtract(identity_op(), stack.upsilon)
     k_plus_r = subtract(identity_op(), stack.phi)
     return [("K+R", k_plus_r, 1.0, stack.probe_seed + 1)] + [
@@ -585,21 +612,19 @@ class TestPersistence:
         assert table["stored"] == table["recomputed"]
 
     # perfbench's check_verified compares the verify table against a
-    # fixed set of keys built from the stack, so a key added to or dropped
-    # from the persisted certificates fails every benchmark verify
-    @staticmethod
-    def certificate_keys(sigma_list):
-        return (["cert_exp", "cert_exp_minus"]
-                + [f"cert_ups_{s:g}" for s in sigma_list] + ["cert_phi"])
+    # fixed set of keys built from stack.sigma_list and stack.cert_upsilon,
+    # so a key added to or dropped from the persisted certificates fails
+    # every benchmark verify
+    KEYS = ["cert_exp", "cert_exp_minus", "cert_ups_1", "cert_phi"]
 
     def test_default_stack_persists_h1_only(self, drift_stack, tmp_path):
-        assert DEFAULT_SIGMAS == (1.0,)
-        assert drift_stack.sigma_list == DEFAULT_SIGMAS
+        assert drift_stack.sigma_list == (1.0,)
         assert list(drift_stack.cert_upsilon) == [1.0]
+        assert list(CERTIFICATE_BOUNDS) == self.KEYS
         save_stack(drift_stack, tmp_path / "stack")
         meta = (tmp_path / "stack" / "stack_meta").read_text().splitlines()
-        assert "sigma_list=1" in meta
-        keys = self.certificate_keys((1.0,))
+        assert not any(l.startswith("sigma_list=") for l in meta)
+        keys = self.KEYS
         assert [l.split("=")[0] for l in meta if l.startswith("cert_")] == keys
         table = verify_stack(tmp_path / "stack")
         assert list(table["stored"]) == keys
@@ -607,22 +632,31 @@ class TestPersistence:
         assert table["stored"]["cert_phi"] == drift_stack.cert_phi
         assert table["stored"]["cert_ups_1"] == drift_stack.cert_upsilon[1.0]
 
-    def test_four_weight_stack_reverifies(self, drift_stack, tmp_path):
-        stack = build_stack(drift_stack.data, drift_stack.partition,
-                            drift_stack.M, drift_stack.N, ESTIMATOR_SIGMAS,
-                            drift_stack.probe_seed, drift_stack.power_iters,
-                            drift_stack.restarts)
-        # each weight's norm starts from probe_seed: the H^1 value is the
-        # default stack's, whatever else sigma_list holds
-        assert stack.cert_upsilon[1.0] == drift_stack.cert_upsilon[1.0]
-        assert stack.cert_phi == drift_stack.cert_phi
-        save_stack(stack, tmp_path / "stack")
-        meta = (tmp_path / "stack" / "stack_meta").read_text().splitlines()
-        assert "sigma_list=-2,0,1,2" in meta
+    def test_stray_certificate_refused(self, drift_stack, tmp_path):
+        # a stack saved with more parametrix weights (cert_ups_2, ...) is
+        # refused, not verified on the certificates this build recomputes
+        save_stack(drift_stack, tmp_path / "stack")
+        meta = tmp_path / "stack" / "stack_meta"
+        meta.write_text(meta.read_text() + "cert_ups_2=0.125\n")
+        with pytest.raises(CertificateError, match="holds cert_ups_2,"):
+            verify_stack(tmp_path / "stack")
+
+    def test_leftover_sigma_list_entry_ignored(self, drift_stack, tmp_path):
+        # stacks saved before sigma_list was removed end with sigma_list=1
+        save_stack(drift_stack, tmp_path / "stack")
+        meta = tmp_path / "stack" / "stack_meta"
+        meta.write_text(meta.read_text() + "sigma_list=1\n")
         table = verify_stack(tmp_path / "stack")
-        assert list(table["recomputed"]) == self.certificate_keys(ESTIMATOR_SIGMAS)
+        assert list(table["stored"]) == self.KEYS
         assert table["stored"] == table["recomputed"]
-        assert max(stack.cert_upsilon.values()) <= OPERATOR_SMALLNESS
+
+    def test_out_of_bound_certificate_refused(self, drift_stack, tmp_path,
+                                              monkeypatch):
+        # the stored and recomputed values agree, but the bound is below them
+        save_stack(drift_stack, tmp_path / "stack")
+        monkeypatch.setitem(CERTIFICATE_BOUNDS, "cert_phi", drift_stack.cert_phi / 2)
+        with pytest.raises(CertificateError, match="cert_phi=.*exceeds its bound"):
+            verify_stack(tmp_path / "stack")
 
     def test_tamper_detection(self, anderson_stack, tmp_path):
         from paratorus.errors import CertificateError
