@@ -11,26 +11,36 @@ data the iteration contracts once lam is large enough.  solve_kpz is the
 one Picard loop: its first TRIAL_STEPS steps test for contraction and a
 lam at which they do not contract is refused there, so auto_lambda
 doubles lam from 1 until a solve is accepted and returns that solve.
-The nonlinearity is evaluated as sum_l d_l W . d_l(W - V), by
-bilinearity d dealiased products instead of 2d, once per step: at W_k
-it gives both the residual of W_k and the next iterate W_{k+1}.
+
+The nonlinearity sum_l d_l W . d_l(W - V) is evaluated once per step: at
+W_k it gives both the residual of W_k and the next iterate W_{k+1}.  It is
+one pass on the product grid (`product_size`), where the dealiased
+product is exact: d inverse transforms give the values of the d_l W,
+which serve both factors, the values of the d_l V come from the problem,
+which computes them once, and one forward transform takes the summed
+products back.  So a step costs d + 1 transforms.  A constant W, such as
+the start W = 0, gives an exact zero with none, and a constant V (V = 0
+for Anderson data) adds no cross term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigurationError, DataTooRoughError, SolverDivergenceError
-from .lp import BesovIndex, CheckReport, DyadicPartition, besov_norm, random_field_with_decay
 from .torus import (
     SpectralField,
+    constant_value,
     field_from_coeffs,
-    grad,
+    fold_half,
     l2_norm,
-    pointwise_product,
+    product_size,
+    reflected_spectrum,
     sobolev_norm,
+    true_values,
     zero_field,
 )
 
@@ -42,7 +52,9 @@ TRIAL_STEPS = 20
 
 @dataclass(frozen=True)
 class KpzProblem:
-    """The equation at relaxation parameter lam."""
+    """The equation at relaxation parameter lam.  The symbol of lam - Delta
+    and the values of grad V on the product grid are computed once per
+    problem, on first use, and shared by all its steps."""
 
     xi: SpectralField
     V: SpectralField
@@ -56,6 +68,16 @@ class KpzProblem:
         if self.tol <= 0:
             raise ConfigurationError(f"tolerance must be > 0, got {self.tol}")
 
+    @cached_property
+    def symbol(self) -> np.ndarray:
+        """lam + 4 pi^2 |k|^2, the symbol of lam - Delta."""
+        return self.lam + 4.0 * np.pi**2 * self.xi.grid.ksq
+
+    @cached_property
+    def grad_V_values(self) -> list[np.ndarray] | None:
+        """The values of grad V on the product grid (None for V constant)."""
+        return _gradient_values(self.V)
+
 
 @dataclass
 class KpzResult:
@@ -65,12 +87,42 @@ class KpzResult:
     trace: list = field(default_factory=list)  # (iteration, residual) pairs
 
 
+def _gradient_values(f: SpectralField) -> list[np.ndarray] | None:
+    """The values of the d_l f on the product grid, listed at -x as
+    true_values lists them, one inverse transform each; None for a
+    constant f, whose gradient is zero."""
+    if constant_value(f.coeffs) is not None:
+        return None
+    n = f.grid.n
+    m = product_size(n)
+    return [true_values(f.coeffs, n, m, (s,)) for s in f.grid.deriv_symbols]
+
+
+def _nonlinearity(W: SpectralField, grad_V: list[np.ndarray] | None) -> SpectralField:
+    """sum_l d_l W . d_l(W - V), dealiased, from the values grad_V of
+    grad V (None for V constant): d + 1 transforms, none for W constant."""
+    g = W.grid
+    grad_W = _gradient_values(W)
+    if grad_W is None:
+        return zero_field(g)
+    for i, a in enumerate(grad_W):
+        a *= a if grad_V is None else a - grad_V[i]
+    total = grad_W[0]
+    for a in grad_W[1:]:
+        total += a
+    # reflected_spectrum reads sqrt 2 times the values, so the product's
+    # coefficients are sqrt 2 times what it returns
+    coeffs = fold_half(reflected_spectrum(total), product_size(g.n), g.n)
+    coeffs *= np.sqrt(2.0)
+    return field_from_coeffs(g, coeffs)
+
+
 def nonlinearity(W: SpectralField, V: SpectralField) -> SpectralField:
-    """|grad W|^2 - grad W . grad V = sum_l d_l W . d_l(W - V), dealiased."""
-    acc = zero_field(W.grid)
-    for a, b in zip(grad(W), grad(W - V)):
-        acc = acc + pointwise_product(a, b)
-    return acc
+    """|grad W|^2 - grad W . grad V = sum_l d_l W . d_l(W - V), dealiased,
+    in one pass on the product grid: d inverse transforms for grad W, d
+    more for grad V unless V is constant, and one forward transform.  A
+    constant W gives an exact zero without transforms."""
+    return _nonlinearity(W, _gradient_values(V))
 
 
 def _step(W: SpectralField, nonlin: SpectralField, prob: KpzProblem) -> SpectralField:
@@ -81,24 +133,22 @@ def _step(W: SpectralField, nonlin: SpectralField, prob: KpzProblem) -> Spectral
             f"iterate exploded (H^1 norm {h1:.3g}); try a larger relaxation parameter"
         )
     rhs = nonlin - prob.xi
-    g = W.grid
-    return field_from_coeffs(g, rhs.coeffs / (prob.lam + 4.0 * np.pi**2 * g.ksq))
+    return field_from_coeffs(W.grid, rhs.coeffs / prob.symbol)
 
 
 def _residual(W: SpectralField, nonlin: SpectralField, prob: KpzProblem) -> float:
-    g = W.grid
-    lhs = field_from_coeffs(g, (prob.lam + 4.0 * np.pi**2 * g.ksq) * W.coeffs)
+    lhs = field_from_coeffs(W.grid, prob.symbol * W.coeffs)
     return l2_norm(lhs - nonlin + prob.xi)
 
 
 def kpz_map(W: SpectralField, prob: KpzProblem) -> SpectralField:
     """One Picard step (lam - Delta)^{-1}(|grad W|^2 - grad W.grad V - xi)."""
-    return _step(W, nonlinearity(W, prob.V), prob)
+    return _step(W, _nonlinearity(W, prob.grad_V_values), prob)
 
 
 def kpz_residual(W: SpectralField, prob: KpzProblem) -> float:
     """L^2 norm of (lam - Delta)W - |grad W|^2 + grad W.grad V + xi."""
-    return _residual(W, nonlinearity(W, prob.V), prob)
+    return _residual(W, _nonlinearity(W, prob.grad_V_values), prob)
 
 
 class _NoContraction(SolverDivergenceError):
@@ -132,7 +182,7 @@ def solve_kpz(prob: KpzProblem) -> KpzResult:
                         f"larger relaxation parameter than {prob.lam:g}"
                     )
                 trial = False
-        nonlin = nonlinearity(W, prob.V)
+        nonlin = _nonlinearity(W, prob.grad_V_values)
         res = _residual(W, nonlin, prob)
         trace.append((it, res))
         if res <= prob.tol:
@@ -171,42 +221,3 @@ def auto_lambda(
         f"no contraction found up to relaxation parameter {LAMBDA_CAP:g}"
     )
 
-
-def check_smoothing(
-    P: DyadicPartition,
-    lam_list: list[float],
-    beta: float,
-    kappa: float,
-    mu: float,
-    trials: int,
-    seed: int = 0,
-) -> CheckReport:
-    """Measured constant of the resolvent smoothing bound
-
-        |(lam - Delta)^{-1} f|_{B^beta_{mu,inf}}
-            <= C lam^{-kappa} |f|_{B^{beta-2+kappa}_{mu,inf}}.
-
-    Reports the per-lam maxima; the log-log slope against lam should be
-    non-positive for kappa in (0, beta).
-    """
-    if not kappa < beta:
-        raise ConfigurationError(f"need kappa < beta, got {kappa} >= {beta}")
-    g = P.grid
-    rng = np.random.default_rng(seed)
-    idx_out = BesovIndex(beta, mu, np.inf)
-    idx_in = BesovIndex(beta - 2.0 + kappa, mu, np.inf)
-    per_scale = []
-    for lam in lam_list:
-        ratios = []
-        for _ in range(trials):
-            f = random_field_with_decay(g, beta - 2.0 + kappa, rng, kmax=2.0**P.j_max)
-            rf = field_from_coeffs(g, f.coeffs / (lam + 4.0 * np.pi**2 * g.ksq))
-            den = lam ** (-kappa) * besov_norm(f, idx_in, P)
-            ratios.append(besov_norm(rf, idx_out, P) / den if den > 0 else 0.0)
-        per_scale.append((lam, max(ratios), min(ratios)))
-    params = {"beta": beta, "kappa": kappa, "mu": mu, "trials": trials}
-    return CheckReport(
-        "resolvent_smoothing", params,
-        max(m for _, m, _ in per_scale), min(m for _, _, m in per_scale),
-        g.n, seed, per_scale,
-    )

@@ -66,7 +66,8 @@ class Grid:
     """A d-dimensional n^d grid on the unit torus (n a power of two, >= 8).
 
     `shape` is that of the physical samples, `half_shape` that of the
-    stored coefficients, on which the frequency tables live."""
+    stored coefficients, on which the frequency tables live.  The Sobolev
+    symbols are kept per s, read-only, once computed."""
 
     def __init__(self, d: int, n: int):
         if d not in (1, 2, 3):
@@ -93,6 +94,7 @@ class Grid:
         # index of the Nyquist entries k_i = n/2, one per axis
         self.nyquist = tuple((slice(None),) * ax + (n // 2,) for ax in range(d))
         self.deriv_symbols = [(-2j * np.pi) * ka for ka in self.kaxes]
+        self._sobolev_symbols = {}
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Grid) and (self.d, self.n) == (other.d, other.n)
@@ -112,7 +114,13 @@ class Grid:
         return list(np.meshgrid(*self.axes(), indexing="ij"))
 
     def sobolev_symbol(self, s: float) -> np.ndarray:
-        return (1.0 + 4.0 * np.pi**2 * self.ksq) ** (s / 2.0)
+        """(1 + 4 pi^2 |k|^2)^{s/2}, computed once per s and read-only."""
+        sym = self._sobolev_symbols.get(s)
+        if sym is None:
+            sym = (1.0 + 4.0 * np.pi**2 * self.ksq) ** (s / 2.0)
+            sym.flags.writeable = False
+            self._sobolev_symbols[s] = sym
+        return sym
 
 
 @lru_cache(maxsize=32)

@@ -370,8 +370,9 @@ _EXP_NAMES = ("e_pw", "e_pw_inv", "e_pwv", "e_pwv_inv", "e_pv2w")
 # half lattices in orthonormal coordinates saved as PCF2 (fields and
 # certificates moved at round-off; no PCF1 body is read); r2c-9 drew
 # the operator norms' starts on |k| <= 2^j_max and ran each to its
-# settling stop (other certificates).  The factored KPZ nonlinearity
-# needed no stamp: verify_stack reloads W, never solves for it.
+# settling stop (other certificates).  The factored KPZ nonlinearity,
+# and its one transform pass per Picard step (W and Z move at round-off),
+# needed no stamp: verify_stack reloads W and Z, never solves for them.
 KERNEL_VERSION = "r2c-10"
 
 

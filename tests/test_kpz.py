@@ -7,7 +7,6 @@ from paratorus.kpz import (
     TRIAL_STEPS,
     KpzProblem,
     auto_lambda,
-    check_smoothing,
     kpz_map,
     kpz_residual,
     nonlinearity,
@@ -22,11 +21,13 @@ from paratorus.torus import (
     grid,
     l2_norm,
     pointwise_product,
+    product_size,
     sobolev_norm,
     to_spectral,
     zero_field,
 )
 
+from estimates import check_smoothing
 from oracles import to_half
 
 
@@ -39,6 +40,32 @@ def grad_sq_and_cross(W, V):
         grad_sq = grad_sq + pointwise_product(a, a)
         cross = cross + pointwise_product(a, b)
     return grad_sq, cross
+
+
+def count_transforms(monkeypatch):
+    """The real FFTs numpy runs from now on, in call order, as
+    ("inverse", output shape) and ("forward", input shape) pairs."""
+    seen = []
+    inverse, forward = np.fft.irfftn, np.fft.rfftn
+
+    def counted_inverse(*args, **kwargs):
+        out = inverse(*args, **kwargs)
+        seen.append(("inverse", out.shape))
+        return out
+
+    def counted_forward(a, *args, **kwargs):
+        seen.append(("forward", np.shape(a)))
+        return forward(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfftn", counted_inverse)
+    monkeypatch.setattr(np.fft, "rfftn", counted_forward)
+    return seen
+
+
+def kinds(seen):
+    """(inverse, forward) counts of count_transforms' record."""
+    return (sum(kind == "inverse" for kind, _ in seen),
+            sum(kind == "forward" for kind, _ in seen))
 
 
 def manufactured_problem(g, lam=2.0, amplitude=0.5, seed=0):
@@ -86,7 +113,8 @@ class TestNonlinearity:
     def test_zero_V_sums_the_squares(self, generic_data):
         W = generic_data.W
         want, _ = grad_sq_and_cross(W, zero_field(W.grid))
-        assert np.array_equal(nonlinearity(W, zero_field(W.grid)).coeffs, want.coeffs)
+        got = nonlinearity(W, zero_field(W.grid))
+        assert l2_norm(got - want) <= 1e-14 * l2_norm(want)
 
     def test_zero_W_exact(self, generic_data):
         out = nonlinearity(zero_field(generic_data.grid), generic_data.V)
@@ -170,27 +198,45 @@ class TestSolve:
     def test_one_nonlinearity_per_step(self, case, generic_data, monkeypatch):
         # the nonlinearity at W_k gives both W_k's residual and W_{k+1}:
         # the same iterates and residuals as kpz_map then kpz_residual, from
-        # d products per step (and d at W_0) instead of 4d
+        # d + 1 transforms per step (none at W_0) and d per problem for
+        # grad V
         if case == "manufactured":
             prob, _ = manufactured_problem(grid(2, 64))
         else:
             prob = KpzProblem(generic_data.xi, generic_data.V, generic_data.lam)
         assert l2_norm(prob.V) > 0.0
         W_ref, iterations, trace = reference_solve(prob)
-        calls = []
-        product = kpz.pointwise_product
-
-        def counted(f, h):
-            calls.append(1)
-            return product(f, h)
-
-        monkeypatch.setattr(kpz, "pointwise_product", counted)
+        prob = KpzProblem(prob.xi, prob.V, prob.lam, prob.tol)  # grad V not yet seen
+        seen = count_transforms(monkeypatch)
         result = solve_kpz(prob)
         assert result.iterations == iterations
         assert np.array_equal(result.W.coeffs, W_ref.coeffs)
         assert result.trace == trace
         assert result.residual == trace[-1][1]
-        assert len(calls) == prob.xi.grid.d * (iterations + 1)
+        d = prob.xi.grid.d
+        assert kinds(seen) == (d * (iterations + 1), iterations)
+
+    def test_one_transform_pass_per_step(self, generic_data, monkeypatch):
+        g = generic_data.grid
+        d, m = g.d, product_size(g.n)
+        inverse, forward = ("inverse", (m,) * d), ("forward", (m,) * d)
+        prob = KpzProblem(generic_data.xi, generic_data.V, generic_data.lam)
+        seen = count_transforms(monkeypatch)
+        W1 = kpz_map(zero_field(g), prob)  # grad V only: W = 0 needs none
+        assert seen == [inverse] * d
+        seen.clear()
+        assert np.array_equal(kpz_map(zero_field(g), prob).coeffs, W1.coeffs)
+        assert seen == []
+        kpz_map(W1, prob)
+        kpz_residual(W1, prob)
+        assert seen == ([inverse] * d + [forward]) * 2
+        seen.clear()
+        result = solve_kpz(prob)  # grad V is held by the problem
+        assert kinds(seen) == (d * result.iterations, result.iterations)
+        seen.clear()
+        anderson = KpzProblem(generic_data.xi, zero_field(g), generic_data.lam)
+        kpz_map(W1, anderson)  # V = 0: no cross term, no transform of grad V
+        assert seen == [inverse] * d + [forward]
 
     def test_tolerance_monotone(self):
         g = grid(2, 64)
@@ -241,45 +287,45 @@ def test_auto_lambda_returns_the_solve_from_zero(monkeypatch, seed, n):
     # enhance_generic's one call to auto_lambda: each lam it doubles past
     # is refused for want of contraction within TRIAL_STEPS steps, and the
     # lam it accepts ends (seeds 1, 7) or is refused (seed 15 at n = 32) as
-    # the plain Picard loop from W = 0 there, with d (iterations + 1)
-    # products, so that no step is taken twice
-    solves, calls = [], []
-    solve, product = kpz.solve_kpz, kpz.pointwise_product
+    # the plain Picard loop from W = 0 there, with d inverse transforms for
+    # grad V and d + 1 transforms per step after W_0, so that no step is
+    # taken twice
+    solves = []
+    solve = kpz.solve_kpz
+    seen = count_transforms(monkeypatch)
 
     def recorded(prob):
-        calls.clear()
+        seen.clear()
         try:
             out = solve(prob)
         except SolverDivergenceError as exc:
-            solves.append((prob, exc, len(calls)))
+            solves.append((prob, exc, kinds(seen)))
             raise
-        solves.append((prob, out, len(calls)))
+        solves.append((prob, out, kinds(seen)))
         return out
 
     monkeypatch.setattr(kpz, "solve_kpz", recorded)
-    monkeypatch.setattr(kpz, "pointwise_product",
-                        lambda f, h: calls.append(1) or product(f, h))
     g = grid(2, n)
     try:
         enhance_generic(NoiseSpec("generic_I", seed, amplitude=2.0), g, 2.0**-3)
     except SolverDivergenceError:
         pass
-    *refused, (prob, out, products) = solves
+    *refused, (prob, out, transforms) = solves
     assert [p.lam for p, _, _ in solves] == [2.0**i for i in range(len(solves))]
-    for _, exc, refused_products in refused:
+    for _, exc, refused_transforms in refused:
         assert isinstance(exc, kpz._NoContraction)
-        assert refused_products <= g.d * TRIAL_STEPS
+        assert sum(refused_transforms) <= g.d + (g.d + 1) * (TRIAL_STEPS - 1)
     monkeypatch.undo()
     if seed == 15:
         assert type(out) is SolverDivergenceError
-        assert products == g.d * (prob.max_iter + 1)
+        assert transforms == (g.d * (prob.max_iter + 1), prob.max_iter)
         with pytest.raises(AssertionError, match="did not converge"):
             reference_solve(prob)
         return
     W_ref, iterations, trace = reference_solve(prob)
     assert np.array_equal(out.W.coeffs, W_ref.coeffs)
     assert (out.iterations, out.trace) == (iterations, trace)
-    assert products == g.d * (iterations + 1)
+    assert transforms == (g.d * (iterations + 1), iterations)
 
 
 @pytest.fixture(scope="module")

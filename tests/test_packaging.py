@@ -66,7 +66,7 @@ def test_benchmark_tracer_installs_against_the_package():
         "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    from paratorus import linops, paraproducts, torus
+    from paratorus import kpz, linops, lp, paraproducts, torus
 
     original = paraproducts._FixedSidePara.apply
     tracer = tracing.Tracer()
@@ -75,8 +75,15 @@ def test_benchmark_tracer_installs_against_the_package():
         g = torus.grid(2, 16)
         x = linops.random_hermitian(g, np.random.default_rng(0))
         linops.mult_field_op(g, x).apply(x)
+        # the tracer counts the lam tried through kpz_map's second argument,
+        # so solve_kpz must reach kpz_map through the rebound name
+        rng = np.random.default_rng(1)
+        xi, V = (0.1 * lp.random_field_with_decay(g, 1.5, rng) for _ in range(2))
+        kpz.auto_lambda(xi, V)
     finally:
         tracer.uninstall()
     assert paraproducts._FixedSidePara.apply is original
     assert tracer.counters["linops.mult_field.calls"] == 1
     assert tracer.counters["paraproducts.apply.calls"] == 1
+    assert tracer.counters["kpz.auto_lambda.lams_tried"] >= 1
+    assert tracer.counters["kpz.solve.iterations"] >= 1

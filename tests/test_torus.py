@@ -239,6 +239,18 @@ class TestSobolev:
         assert sobolev_norm(f, 1.0) == pytest.approx(quad, rel=1e-12)
 
 
+    @pytest.mark.parametrize("s", [1.0, 2.0, -2.0, 0.5])
+    def test_symbol_cached_read_only(self, s):
+        g = grid(2, 32)
+        sym = g.sobolev_symbol(s)
+        assert g.sobolev_symbol(s) is sym
+        assert not sym.flags.writeable
+        with pytest.raises(ValueError):
+            sym[0, 0] = 0.0
+        want = (1.0 + 4.0 * np.pi**2 * g.ksq) ** (s / 2.0)
+        assert np.array_equal(sym, want)
+
+
 class TestDerivatives:
     def test_constant_gradient_zero(self):
         g = grid(2, 16)
